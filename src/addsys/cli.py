@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from itertools import islice
 from typing import Any, Sequence
 
 from . import cuboid as cuboid_mod
@@ -81,18 +83,26 @@ def _cmd_jof_enumerate(args: argparse.Namespace) -> int:
     if args.count_only:
         print(canonical_json({"count": count_jofs(dims)}))
         return EXIT_OK
-    stream = enumerate_jofs(dims)
-    jofs = []
-    for jof in stream:
-        if args.limit is not None and len(jofs) >= args.limit:
-            break
-        jofs.append(jof.as_text())
+    total = count_jofs(dims)
+    if args.limit is not None:
+        if args.limit < 0:
+            raise InputError(f"--limit must be >= 0, got {args.limit}")
+        total = min(total, args.limit)
+    if total > args.max_product:
+        raise CapExceededError(
+            f"listing would hold {total} factorisations, cap is {args.max_product}"
+        )
+    jofs = [jof.as_text() for jof in islice(enumerate_jofs(dims), total)]
     print(canonical_json({"dims": list(dims), "jofs": jofs}))
     return EXIT_OK
 
 
 def _cmd_sumsys_from_jof(args: argparse.Namespace) -> int:
-    ss = sumsys_mod.build_sum_system(parse_jof(args.jof))
+    jof = parse_jof(args.jof)
+    total = math.prod(jof.dims)
+    if total > args.max_product:
+        raise CapExceededError(f"sum system would cover {total} sums, cap is {args.max_product}")
+    ss = sumsys_mod.build_sum_system(jof)
     print(canonical_json(sumsys_mod.to_json_doc(ss)))
     return EXIT_OK
 

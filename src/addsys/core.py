@@ -3,6 +3,8 @@
 Every verifier in the package reduces to two operations defined here:
 forming the multiset of elementwise sums of several integer sets, and
 comparing that multiset against a prescribed arithmetic progression.
+The sums come from ``_outer_sums``, the one outer-sum expansion, which
+the cuboid module also uses to tabulate tensors and sub-box row starts.
 All arithmetic is exact and restricted to signed 64-bit magnitudes;
 exceeding that range is a hard error, never a silent wraparound.
 """
@@ -88,6 +90,12 @@ class VerificationFailedError(RuntimeError):
         self.context = context
         self.report = report
         super().__init__(f"{context}: {report.violated_invariant} (witness {report.witness!r})")
+
+
+def _require_passed(report: VerificationReport, context: str) -> None:
+    """The gate of every operation that needs a verified input."""
+    if not report.passed:
+        raise VerificationFailedError(context, report)
 
 
 def ensure_int64(value: int, context: str = "value") -> int:
@@ -214,10 +222,16 @@ def minkowski_sum(
             )
     ensure_int64(sum(max(s) for s in sets), "largest sum")
     ensure_int64(sum(min(s) for s in sets), "smallest sum")
+    sums = _outer_sums(sets)
+    sums.sort()
+    return sums
+
+
+def _outer_sums(sets: Iterable[Iterable[int]]) -> list[int]:
+    """Unchecked, unsorted elementwise sums in row-major order, set 1 fastest."""
     sums = [0]
     for s in sets:
         sums = [a + b for b in s for a in sums]
-    sums.sort()
     return sums
 
 

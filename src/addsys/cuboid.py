@@ -21,13 +21,13 @@ from .core import (
     DEFAULT_CAP,
     CapExceededError,
     InputError,
-    InternalContradictionError,
     SumSystem,
-    VerificationFailedError,
     VerificationReport,
+    _outer_sums,
+    _require_passed,
     ensure_int64,
 )
-from .factorisation import JointOrderedFactorisation, canonicalise, validate_jof
+from .factorisation import JointOrderedFactorisation, _require_buildable, _walk_stages
 from .sumsystem import verify_sum_system
 
 
@@ -146,14 +146,7 @@ def building_op(j: int, k: int, M: Cuboid) -> Cuboid:
 
 def build_cuboid(jof: JointOrderedFactorisation, cap: int = DEFAULT_CAP) -> Cuboid:
     """Run the building-operator chain of a joint ordered factorisation."""
-    report = validate_jof(jof.steps, jof.dims)
-    if not report.passed:
-        raise InputError(
-            f"invalid joint ordered factorisation: {report.violated_invariant}"
-            f" (witness {report.witness!r})"
-        )
-    if any(n < 2 for n in jof.dims):
-        raise InputError(f"buildable dims must all be >= 2, got {list(jof.dims)}")
+    _require_buildable(jof)
     total = 1
     for n in jof.dims:
         total *= n
@@ -165,19 +158,16 @@ def build_cuboid(jof: JointOrderedFactorisation, cap: int = DEFAULT_CAP) -> Cubo
     return M
 
 
-def axis_values(M: Cuboid, j: int) -> tuple[int, ...]:
-    """Entries along the direction-j coordinate axis, root included."""
-    step = strides(M.dims)[j - 1]
-    return tuple(M.entries[l * step] for l in range(M.dims[j - 1]))
+def _axes(M: Cuboid) -> list[tuple[int, ...]]:
+    """Entries along every coordinate axis, root included, one slice each."""
+    return [M.entries[0 : s * n : s] for s, n in zip(strides(M.dims), M.dims)]
 
 
 def axis_sets(M: Cuboid, check: bool = True) -> SumSystem:
     """The sum system sitting on the coordinate axes of a reversible cuboid."""
     if check:
-        report = verify_reversible(M)
-        if not report.passed:
-            raise VerificationFailedError("axis_sets input", report)
-    return SumSystem(tuple(axis_values(M, j) for j in range(1, M.order + 1)))
+        _require_passed(verify_reversible(M), "axis_sets input")
+    return SumSystem(tuple(_axes(M)))
 
 
 def cuboid_from_sumsystem(
@@ -189,17 +179,12 @@ def cuboid_from_sumsystem(
     k_j-th elements of the parts.
     """
     if check:
-        report = verify_sum_system(ss, cap=cap)
-        if not report.passed:
-            raise VerificationFailedError("cuboid_from_sumsystem input", report)
+        _require_passed(verify_sum_system(ss, cap=cap), "cuboid_from_sumsystem input")
     total = ss.target_size
     if total > cap:
         raise CapExceededError(f"cuboid would hold {total} entries, cap is {cap}")
     ensure_int64(sum(p[-1] for p in ss.parts), "largest entry")
-    entries = [0]
-    for part in ss.parts:
-        entries = [base + x for x in part for base in entries]
-    return Cuboid(ss.dims, tuple(entries))
+    return Cuboid(ss.dims, tuple(_outer_sums(ss.parts)))
 
 
 def verify_property_V(M: Cuboid) -> VerificationReport:
@@ -210,10 +195,8 @@ def verify_property_V(M: Cuboid) -> VerificationReport:
     not be zero.
     """
     root = M.entries[0]
-    expected = [root]
-    for j in range(1, M.order + 1):
-        offsets = [a - root for a in axis_values(M, j)]
-        expected = [base + off for off in offsets for base in expected]
+    offsets = [[a - root for a in axis] for axis in _axes(M)]
+    expected = _outer_sums([(root,), *offsets])
     if list(M.entries) == expected:
         return VerificationReport.ok()
     for flat, (got, want) in enumerate(zip(M.entries, expected)):
@@ -228,9 +211,10 @@ def verify_reversible(M: Cuboid) -> VerificationReport:
     """All defining checks of a principal reversible cuboid.
 
     Checked in order: strict monotonicity along every line of every
-    direction, the vertex cross sum property, entry set equal to
-    0 .. size - 1, then line reversal symmetry.  The last is implied by
-    the first three, so it can never be the sole failure.
+    direction, the vertex cross sum property, then entry set equal to
+    0 .. size - 1.  Line reversal symmetry is not scanned: once these
+    three hold, the axes form a sum system, whose parts are
+    palindromic, and vertex sums carry that symmetry to every line.
     """
     entries = M.entries
     stride_of = strides(M.dims)
@@ -257,100 +241,40 @@ def verify_reversible(M: Cuboid) -> VerificationReport:
         if not (0 <= x < M.size) or seen[x]:
             return VerificationReport.fail("entry-set", witness=x)
         seen[x] = 1
-    # Vertex sums hold, so line reversal reduces to palindromy of the axes.
-    for j in range(1, M.order + 1):
-        axis = axis_values(M, j)
-        top = axis[-1]
-        for l, a in enumerate(axis):
-            if a + axis[len(axis) - 1 - l] != top:
-                return VerificationReport.fail(
-                    "line-reversal", witness={"direction": j, "position": l + 1}
-                )
     return VerificationReport.ok()
-
-
-def _gather(M: Cuboid, shape: Sequence[int], shift: Sequence[int]) -> list[int]:
-    # Entries of the sub-box of extents ``shape`` whose corner sits at
-    # 0-based offsets ``shift``; direction 1 runs are copied as slices.
-    stride_of = strides(M.dims)
-    entries = M.entries
-    out: list[int] = []
-    width = shape[0]
-    first = shift[0]
-
-    def rec(direction: int, base: int) -> None:
-        if direction == 0:
-            out.extend(entries[base + first : base + first + width])
-            return
-        step = stride_of[direction]
-        origin = base + shift[direction] * step
-        for _ in range(shape[direction]):
-            rec(direction - 1, origin)
-            origin += step
-    rec(M.order - 1, 0)
-    return out
 
 
 def decompose_cuboid(M: Cuboid, check: bool = True) -> JointOrderedFactorisation:
     """Recover the canonical building chain of a reversible cuboid.
 
-    Works directly on the tensor: grows a sub-box from the root corner,
-    always extending the direction whose next axis entry is the
-    smallest integer not yet covered, closing a step when the smallest
-    missing value moves to another direction.  Each closed step must
-    consist of whole copies of the previous sub-box offset by its size,
-    and that copy structure is checked entrywise.
+    Runs the shared stage walk on the coordinate axes but checks each
+    closed stage on the tensor itself: it must be whole copies of the
+    previous sub-box offset by its size, compared one direction-1 row
+    slice at a time from row starts computed once per stage.
     """
     if check:
-        report = verify_reversible(M)
-        if not report.passed:
-            raise VerificationFailedError("decompose input", report)
-    dims = M.dims
-    m = M.order
-    axes = [axis_values(M, j) for j in range(1, m + 1)]
-    consumed = [1] * m
-    product = 1
-    steps: list[tuple[int, int]] = []
-    while True:
-        open_dirs = [j for j in range(m) if consumed[j] < dims[j]]
-        if not open_dirs:
-            break
-        nexts = [axes[j][consumed[j]] for j in open_dirs]
-        smallest = min(nexts)
-        if nexts.count(smallest) != 1:
-            raise InternalContradictionError(
-                f"axis value {smallest} appears in more than one direction"
-            )
-        j = open_dirs[nexts.index(smallest)]
-        fence = min(
-            (axes[k][consumed[k]] for k in open_dirs if k != j), default=None
+        _require_passed(verify_reversible(M), "decompose input")
+    entries = M.entries
+    stride_of = strides(M.dims)
+
+    def broken_copy(j: int, consumed: list[int], factor: int, product: int) -> int | None:
+        # Rows of the sub-box with extents ``consumed`` start at the outer
+        # sums of the per-direction offsets; copy l shifts them along j.
+        width = consumed[0]
+        starts = _outer_sums(
+            range(0, n * s, s) for n, s in zip(consumed[1:], stride_of[1:])
         )
-        base = consumed[j]
-        cursor = base
-        axis = axes[j]
-        while cursor < dims[j] and (fence is None or axis[cursor] < fence):
-            cursor += 1
-        if cursor % base != 0:
-            raise InternalContradictionError(
-                f"direction {j + 1} advanced from {base} to {cursor} slices,"
-                " not a whole number of copies"
-            )
-        factor = cursor // base
-        shape = list(consumed)
-        shape[j] = base
-        shift = [0] * m
-        reference = _gather(M, shape, shift)
+        step = consumed[j] * stride_of[j]
         for l in range(1, factor):
-            shift[j] = l * base
+            shift = l * step
             offset = l * product
-            if _gather(M, shape, shift) != [x + offset for x in reference]:
-                raise InternalContradictionError(
-                    f"direction {j + 1} copy {l} breaks the offset-copy structure"
-                )
-        consumed[j] = cursor
-        product *= factor
-        steps.append((j + 1, factor))
-    return canonicalise(steps, dims)
+            for r in starts:
+                row = tuple([x + offset for x in entries[r : r + width]])
+                if entries[r + shift : r + shift + width] != row:
+                    return l
+        return None
+
+    return _walk_stages(_axes(M), M.dims, broken_copy)
 
 
 def to_json_doc(M: Cuboid) -> dict:

@@ -14,9 +14,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .core import InputError, VerificationReport
+from .core import InputError, InternalContradictionError, VerificationReport
 
 Step = tuple[int, int]
 
@@ -72,6 +72,21 @@ def validate_jof(steps: Sequence[Step], dims: Sequence[int]) -> VerificationRepo
                 witness={"direction": j + 1, "product": products[j], "expected": dims[j]},
             )
     return VerificationReport.ok()
+
+
+def _require_valid(jof: JointOrderedFactorisation) -> None:
+    report = validate_jof(jof.steps, jof.dims)
+    if not report.passed:
+        raise InputError(
+            f"invalid joint ordered factorisation: {report.violated_invariant}"
+            f" (witness {report.witness!r})"
+        )
+
+
+def _require_buildable(jof: JointOrderedFactorisation) -> None:
+    """The gate every construction passes: a valid JOF with no unit dims."""
+    _require_valid(jof)
+    _require_enumerable(jof.dims)
 
 
 def _require_enumerable(dims: Sequence[int]) -> tuple[int, ...]:
@@ -174,6 +189,57 @@ def canonicalise(steps: Sequence[Step], dims: Sequence[int]) -> JointOrderedFact
     return JointOrderedFactorisation(tuple(fused), dims)
 
 
+def _walk_stages(
+    axes: Sequence[Sequence[int]],
+    dims: Sequence[int],
+    broken_copy: Callable[[int, list[int], int, int], int | None],
+) -> JointOrderedFactorisation:
+    """Recover the canonical JOF from the axes of a sum system or cuboid.
+
+    At every stage the smallest value not yet covered is the next value
+    on exactly one axis; that direction advances until another axis's
+    next value (the fence) is smaller.  The stretch must be whole copies
+    of what the direction had covered, which ``broken_copy(j, consumed,
+    factor, product)`` checks, returning the first broken copy or None.
+    """
+    m = len(dims)
+    consumed = [1] * m
+    product = 1
+    steps: list[Step] = []
+    while True:
+        open_dirs = [j for j in range(m) if consumed[j] < dims[j]]
+        if not open_dirs:
+            break
+        nexts = [axes[j][consumed[j]] for j in open_dirs]
+        smallest = min(nexts)
+        if nexts.count(smallest) != 1:
+            raise InternalContradictionError(
+                f"next value {smallest} appears in more than one direction"
+            )
+        j = open_dirs[nexts.index(smallest)]
+        fence = min((x for x in nexts if x != smallest), default=None)
+        base = consumed[j]
+        cursor = base
+        axis = axes[j]
+        while cursor < dims[j] and (fence is None or axis[cursor] < fence):
+            cursor += 1
+        if cursor % base != 0:
+            raise InternalContradictionError(
+                f"direction {j + 1} advanced from {base} to {cursor} values,"
+                " not a whole number of copies"
+            )
+        factor = cursor // base
+        copy = broken_copy(j, consumed, factor, product)
+        if copy is not None:
+            raise InternalContradictionError(
+                f"direction {j + 1} copy {copy} breaks the offset-copy structure"
+            )
+        consumed[j] = cursor
+        product *= factor
+        steps.append((j + 1, factor))
+    return canonicalise(steps, dims)
+
+
 def format_jof(steps: Sequence[Step]) -> str:
     """Render steps in the CLI text syntax, e.g. ``1:5,2:2,1:3``."""
     return ",".join(f"{j}:{f}" for j, f in steps)
@@ -205,10 +271,5 @@ def parse_jof(text: str) -> JointOrderedFactorisation:
             raise InputError(f"factor {f} in step {j}:{f} must be >= 2")
         dims[j - 1] *= f
     jof = JointOrderedFactorisation(tuple(steps), tuple(dims))
-    report = validate_jof(jof.steps, jof.dims)
-    if not report.passed:
-        raise InputError(
-            f"invalid joint ordered factorisation: {report.violated_invariant}"
-            f" (witness {report.witness!r})"
-        )
+    _require_valid(jof)
     return jof

@@ -17,11 +17,12 @@ from itertools import chain
 
 from .core import (
     DEFAULT_CAP,
+    CapExceededError,
     InputError,
     Progression,
     SumSystem,
-    VerificationFailedError,
     VerificationReport,
+    _require_passed,
     as_component_set,
     is_progression,
     minkowski_sum,
@@ -97,16 +98,14 @@ def verify_sds_two_part(s: SdsSystem, cap: int = DEFAULT_CAP) -> VerificationRep
     if len(s.parts) != 2:
         raise InputError(f"two-part check needs exactly 2 parts, got {len(s.parts)}")
     first, second = s.parts
-    count = 2 * len(first) * len(second)
+    singles = list(chain(first, second)) if s.flavour == INCLUSIVE else []
+    count = 2 * len(first) * len(second) + len(singles)
+    if count > cap:
+        raise CapExceededError(f"two-part multiset of {count} values exceeds cap {cap}")
+    target = Progression(start=1, step=1 if s.flavour == INCLUSIVE else 2, count=count)
     values = [abs(a + b) for a in first for b in second]
     values += [abs(a - b) for a in first for b in second]
-    if s.flavour == INCLUSIVE:
-        values += list(chain(first, second))
-        target = Progression(start=1, step=1, count=count + len(first) + len(second))
-    else:
-        target = Progression(start=1, step=2, count=count)
-    if len(values) > cap:
-        raise InputError(f"two-part multiset of {len(values)} values exceeds cap {cap}")
+    values += singles
     values.sort()
     return is_progression(values, target)
 
@@ -115,16 +114,12 @@ def _checked_sds(s: SdsSystem, flavour: str, cap: int, check: bool) -> None:
     if s.flavour != flavour:
         raise InputError(f"expected a {flavour} system, got {s.flavour}")
     if check:
-        report = verify_sds(s, cap=cap)
-        if not report.passed:
-            raise VerificationFailedError(f"{flavour} system", report)
+        _require_passed(verify_sds(s, cap=cap), f"{flavour} system")
 
 
 def _checked_sumsys(ss: SumSystem, cap: int, check: bool) -> None:
     if check:
-        report = verify_sum_system(ss, cap=cap)
-        if not report.passed:
-            raise VerificationFailedError("sum system", report)
+        _require_passed(verify_sum_system(ss, cap=cap), "sum system")
 
 
 def sds_to_sumsys_noninclusive(

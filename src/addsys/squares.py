@@ -15,8 +15,8 @@ from typing import Sequence
 
 from .core import (
     InputError,
-    VerificationFailedError,
     VerificationReport,
+    _require_passed,
     as_component_set,
     ensure_int64,
 )
@@ -67,9 +67,7 @@ def _paired_parts(a: Sequence[int], b: Sequence[int], flavour: str) -> tuple[tup
             f"parts must have equal size, got {len(first)} and {len(second)}"
         )
     system = SdsSystem((first, second), flavour)
-    report = verify_sds(system)
-    if not report.passed:
-        raise VerificationFailedError(f"{flavour} pair", report)
+    _require_passed(verify_sds(system), f"{flavour} pair")
     return first, second
 
 

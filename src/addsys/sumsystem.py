@@ -11,34 +11,23 @@ characteristic polynomials must have all-ones coefficients.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Sequence
 
 from .core import (
     DEFAULT_CAP,
     CapExceededError,
     InputError,
-    InternalContradictionError,
     SumSystem,
-    VerificationFailedError,
     VerificationReport,
+    _require_passed,
     as_component_set,
     ensure_int64,
     first_segment,
     is_progression,
     minkowski_sum,
 )
-from .factorisation import JointOrderedFactorisation, canonicalise, validate_jof
-
-
-def _require_buildable(jof: JointOrderedFactorisation) -> None:
-    report = validate_jof(jof.steps, jof.dims)
-    if not report.passed:
-        raise InputError(
-            f"invalid joint ordered factorisation: {report.violated_invariant}"
-            f" (witness {report.witness!r})"
-        )
-    if any(n < 2 for n in jof.dims):
-        raise InputError(f"buildable dims must all be >= 2, got {list(jof.dims)}")
+from .factorisation import JointOrderedFactorisation, _require_buildable, _walk_stages
 
 
 def build_sum_system(jof: JointOrderedFactorisation) -> SumSystem:
@@ -89,9 +78,7 @@ def parity_signature(
     odd) or exactly one maximum is odd (some part size even).
     """
     if check:
-        report = verify_sum_system(ss, cap=cap)
-        if not report.passed:
-            raise VerificationFailedError("parity_signature input", report)
+        _require_passed(verify_sum_system(ss, cap=cap), "parity_signature input")
     return tuple(part[-1] % 2 for part in ss.parts)
 
 
@@ -105,19 +92,22 @@ def polynomial_check(ss: SumSystem, cap: int = DEFAULT_CAP) -> VerificationRepor
     d = ss.target_size
     if d > cap:
         raise CapExceededError(f"product polynomial would have {d} coefficients, cap is {cap}")
+    # Coefficients are non-negative and sum to d, so if any differs from
+    # the target one below x^d does; dropping exponents >= d keeps every
+    # buffer within d entries and leaves the lower coefficients exact.
     coeffs = [1]
     for part in ss.parts:
-        out = [0] * (len(coeffs) + part[-1])
+        out = [0] * min(len(coeffs) + part[-1], d)
+        top = len(out) - 1
         for i, c in enumerate(coeffs):
             if c:
-                for x in part:
+                reach = part if i + part[-1] <= top else part[: bisect_right(part, top - i)]
+                for x in reach:
                     out[i + x] += c
         coeffs = out
-    width = max(len(coeffs), d)
-    for exponent in range(width):
-        have = coeffs[exponent] if exponent < len(coeffs) else 0
-        want = 1 if exponent < d else 0
-        if have != want:
+    coeffs += [0] * (d - len(coeffs))
+    for exponent, c in enumerate(coeffs):
+        if c != 1:
             return VerificationReport.fail("polynomial-coefficient", witness=exponent)
     return VerificationReport.ok()
 
@@ -127,61 +117,27 @@ def decompose_sum_system(
 ) -> JointOrderedFactorisation:
     """Recover the canonical joint ordered factorisation of a sum system.
 
-    Grows a valid subsystem from one element per part.  At every stage
-    the smallest integer not yet covered is the next unconsumed element
-    of exactly one part; consuming along that part until another part's
-    next element becomes smaller closes one factorisation step, and the
-    consumed stretch must consist of whole offset copies of the part's
-    consumed prefix.  ``check=False`` skips the up-front verification
-    for callers that already hold a verified system.
+    The parts are the axes of the stage walk in ``factorisation``; each
+    closed stage must consist of whole copies of the part's consumed
+    prefix, offset by the running product of the factors so far.
+    ``check=False`` skips the up-front verification for callers that
+    already hold a verified system.
     """
     if check:
-        report = verify_sum_system(ss, cap=cap)
-        if not report.passed:
-            raise VerificationFailedError("decompose input", report)
+        _require_passed(verify_sum_system(ss, cap=cap), "decompose input")
     parts = ss.parts
-    dims = ss.dims
-    m = len(parts)
-    consumed = [1] * m
-    product = 1
-    steps: list[tuple[int, int]] = []
-    while True:
-        open_dirs = [j for j in range(m) if consumed[j] < dims[j]]
-        if not open_dirs:
-            break
-        nexts = [parts[j][consumed[j]] for j in open_dirs]
-        smallest = min(nexts)
-        if nexts.count(smallest) != 1:
-            raise InternalContradictionError(
-                f"next element {smallest} appears in more than one part"
-            )
-        j = open_dirs[nexts.index(smallest)]
-        fence = min(
-            (parts[k][consumed[k]] for k in open_dirs if k != j), default=None
-        )
-        base = consumed[j]
-        cursor = base
+
+    def broken_copy(j: int, consumed: list[int], factor: int, product: int) -> int | None:
         part = parts[j]
-        while cursor < dims[j] and (fence is None or part[cursor] < fence):
-            cursor += 1
-        if cursor % base != 0:
-            raise InternalContradictionError(
-                f"part {j + 1} advanced from {base} to {cursor} elements,"
-                " not a whole number of copies"
-            )
-        factor = cursor // base
+        base = consumed[j]
+        prefix = part[:base]
         for l in range(1, factor):
             offset = l * product
-            for r in range(base):
-                if part[l * base + r] != part[r] + offset:
-                    raise InternalContradictionError(
-                        f"part {j + 1} element {part[l * base + r]} breaks the"
-                        f" copy structure at offset {offset}"
-                    )
-        consumed[j] = cursor
-        product *= factor
-        steps.append((j + 1, factor))
-    return canonicalise(steps, dims)
+            if part[l * base : (l + 1) * base] != tuple(x + offset for x in prefix):
+                return l
+        return None
+
+    return _walk_stages(parts, ss.dims, broken_copy)
 
 
 def base_q_system(q: int, m: int) -> SumSystem:

@@ -41,6 +41,19 @@ class TestJof:
         doc = json.loads(out)
         assert doc["jofs"] == ["1:2,2:2,1:2", "1:4,2:2"]
 
+    def test_max_product_caps_listing(self, capsys):
+        # dims (4, 2) have 3 factorisations
+        argv = ["jof", "enumerate", "--dims", "4,2", "--max-product", "2"]
+        assert run_cli(capsys, *argv)[0] == 3
+        assert run_cli(capsys, *argv, "--limit", "2")[0] == 0
+        assert run_cli(capsys, *argv, "--count-only")[0] == 0
+
+    def test_negative_limit(self, capsys):
+        code, out, err = run_cli(capsys, "jof", "enumerate", "--dims", "4,2", "--limit", "-1")
+        assert code == 2
+        assert out == ""
+        assert "limit" in err
+
     def test_bad_dims(self, capsys):
         code, _, err = run_cli(capsys, "jof", "enumerate", "--dims", "2,x")
         assert code == 2
@@ -54,6 +67,14 @@ class TestSumsys:
         doc = json.loads(out)
         assert doc["parts"] == [list(p) for p in E1A_PARTS]
         assert doc["dims"] == [15, 8, 6]
+
+    def test_from_jof_cap(self, capsys):
+        code, out, err = run_cli(capsys, "sumsys", "from-jof", "1:100000,2:10000")
+        assert code == 3
+        assert out == ""
+        assert "cap" in err
+        assert run_cli(capsys, "sumsys", "from-jof", "1:4,2:2", "--max-product", "7")[0] == 3
+        assert run_cli(capsys, "sumsys", "from-jof", "1:4,2:2", "--max-product", "8")[0] == 0
 
     def test_verify_pass_and_fail(self, capsys, tmp_path):
         good = tmp_path / "good.json"

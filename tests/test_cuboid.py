@@ -3,7 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from addsys.core import InputError, SumSystem, VerificationFailedError
+from addsys.core import (
+    InputError,
+    InternalContradictionError,
+    SumSystem,
+    VerificationFailedError,
+)
 from addsys.cuboid import (
     Cuboid,
     axis_sets,
@@ -31,7 +36,8 @@ def jof(steps, dims):
     return JointOrderedFactorisation(tuple(steps), tuple(dims))
 
 
-def brute_force_line_reversal(M: Cuboid) -> bool:
+def brute_force_lines(M: Cuboid):
+    """Every line of every direction, as the list of its entries."""
     dims = M.dims
     for j in range(1, M.order + 1):
         others = [range(1, n + 1) for d, n in enumerate(dims, start=1) if d != j]
@@ -41,10 +47,45 @@ def brute_force_line_reversal(M: Cuboid) -> bool:
                 idx = list(fixed)
                 idx.insert(j - 1, l)
                 line.append(M.entries[flat_index(dims, idx)])
-            ends = line[0] + line[-1]
-            if any(line[l] + line[-1 - l] != ends for l in range(len(line))):
-                return False
+            yield line
+
+
+def brute_force_line_reversal(M: Cuboid) -> bool:
+    for line in brute_force_lines(M):
+        ends = line[0] + line[-1]
+        if any(line[l] + line[-1 - l] != ends for l in range(len(line))):
+            return False
     return True
+
+
+def tabulate(axes) -> tuple[int, ...]:
+    """Row-major table of axis sums, direction 1 fastest."""
+    return tuple(sum(cell) for cell in itertools.product(*reversed(axes)))
+
+
+@st.composite
+def mutated_cuboids(draw):
+    """Built cuboids of product <= 24, left alone or mutated one way.
+
+    An axis mutation re-tabulates the sums, so the vertex cross sum
+    property still holds and only monotonicity or the entry set can fail.
+    """
+    dims = draw(st.sampled_from([d for _, d in dims_vectors_up_to(24)]))
+    M = build_cuboid(draw(st.sampled_from(list(enumerate_jofs(dims)))))
+    entries = list(M.entries)
+    kind = draw(st.sampled_from(["none", "swap", "bump", "axis"]))
+    if kind == "swap":
+        a = draw(st.integers(0, M.size - 1))
+        b = draw(st.integers(0, M.size - 1))
+        entries[a], entries[b] = entries[b], entries[a]
+    elif kind == "bump":
+        entries[draw(st.integers(0, M.size - 1))] += draw(st.sampled_from([-1, 1]))
+    elif kind == "axis":
+        axes = [list(p) for p in axis_sets(M, check=False).parts]
+        j = draw(st.integers(0, M.order - 1))
+        axes[j][draw(st.integers(1, M.dims[j] - 1))] += draw(st.sampled_from([-1, 1]))
+        entries = tabulate(axes)
+    return Cuboid(M.dims, tuple(entries))
 
 
 small_cuboids = st.builds(
@@ -216,6 +257,21 @@ class TestVerifyReversible:
         report = verify_reversible(Cuboid((2, 2), (0, 1, 2, 4)))
         assert report.violated_invariant == "vertex-sums"
 
+    @given(mutated_cuboids())
+    @settings(max_examples=300, deadline=None)
+    def test_line_reversal_follows_from_the_other_checks(self, M):
+        monotone = all(
+            all(a < b for a, b in zip(line, line[1:])) for line in brute_force_lines(M)
+        )
+        premise = (
+            monotone
+            and verify_property_V(M).passed
+            and sorted(M.entries) == list(range(M.size))
+        )
+        assert verify_reversible(M).passed == premise
+        if premise:
+            assert brute_force_line_reversal(M)
+
 
 class TestDecompose:
     def test_base_four(self):
@@ -233,6 +289,22 @@ class TestDecompose:
     def test_verification_enforced(self):
         with pytest.raises(VerificationFailedError):
             decompose_cuboid(Cuboid((2, 2), (0, 1, 1, 3)))
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            # both axes continue with 1: the next value is tied
+            Cuboid((2, 2), (0, 1, 1, 2)),
+            # axis 1 is (0, 1, 4, 5, 8): its last stage ends mid-copy
+            Cuboid((5, 2), (0, 1, 4, 5, 8, 2, 3, 6, 7, 10)),
+            # the axes are a sum system, but the direction-2 copy of the
+            # sub-box (0, 1) holds (2, 4), not (2, 3)
+            Cuboid((2, 2), (0, 1, 2, 4)),
+        ],
+    )
+    def test_contradiction_without_check(self, M):
+        with pytest.raises(InternalContradictionError):
+            decompose_cuboid(M, check=False)
 
     def test_large_example_round_trip(self):
         from conftest import DIMS_E4, JOF_E4

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from addsys.core import InputError, SumSystem, VerificationFailedError
+from addsys.core import CapExceededError, InputError, SumSystem, VerificationFailedError
 from addsys.factorisation import JointOrderedFactorisation, enumerate_jofs
 from addsys.sds import (
     INCLUSIVE,
@@ -66,6 +66,11 @@ class TestTwoPartForm:
     def test_needs_two_parts(self):
         with pytest.raises(InputError):
             verify_sds_two_part(ni((1,)))
+
+    def test_cap(self):
+        assert verify_sds_two_part(inc((1,), (3,)), cap=4).passed
+        with pytest.raises(CapExceededError):
+            verify_sds_two_part(inc((1,), (3,)), cap=3)
 
     def test_agrees_with_general_form_exhaustively(self):
         # All two-part systems reachable from small sum systems, plus a

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from addsys.core import (
     InputError,
+    InternalContradictionError,
     SumSystem,
     VerificationFailedError,
 )
@@ -130,6 +131,12 @@ class TestPolynomialCheck:
         # x^5 is the first exponent whose coefficient is not 1
         assert report.witness == 5
 
+    def test_huge_part_maximum(self):
+        # The product is 1 + x^(2^62); no buffer may be sized from that.
+        report = polynomial_check(SumSystem(((0, 2**62),)))
+        assert not report.passed
+        assert report.witness == 1
+
     @given(built_systems())
     @settings(max_examples=40, deadline=None)
     def test_agrees_with_direct_verification_on_valid(self, ss):
@@ -175,6 +182,21 @@ class TestDecompose:
     def test_precondition_enforced(self):
         with pytest.raises(VerificationFailedError):
             decompose_sum_system(SumSystem(((0, 1), (0, 1))))
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            # both parts continue with 1: the next value is tied
+            ((0, 1), (0, 1)),
+            # part 1's last stage adds 3 elements to a 2-element prefix
+            ((0, 1, 4, 5, 8), (0, 2)),
+            # 6 breaks the copy (0, 1) + 4
+            ((0, 1, 4, 6), (0, 2)),
+        ],
+    )
+    def test_contradiction_without_check(self, parts):
+        with pytest.raises(InternalContradictionError):
+            decompose_sum_system(SumSystem(parts), check=False)
 
     def test_large_example_round_trip(self):
         from conftest import DIMS_E4, E4_PARTS, JOF_E4
