@@ -176,9 +176,9 @@ def _cmd_square_reversible(args: argparse.Namespace) -> int:
     system = sds_mod.from_json_doc(_load_json(args.sds))
     a, b = _two_parts(system)
     if system.flavour == sds_mod.NON_INCLUSIVE:
-        square = squares_mod.reversible_square_even(a, b)
+        square = squares_mod.reversible_square_even(a, b, cap=args.max_product)
     else:
-        square = squares_mod.reversible_square_odd(a, b)
+        square = squares_mod.reversible_square_odd(a, b, cap=args.max_product)
     print(canonical_json(squares_mod.to_json_doc(square)))
     return EXIT_OK
 
@@ -196,7 +196,7 @@ def _cmd_square_magic(args: argparse.Namespace) -> int:
             raise InputError("--signs must be two sign strings joined by ';'") from None
         v = _parse_signs(v_text, "v")
         w = _parse_signs(w_text, "w")
-    square = squares_mod.associated_magic_square(a, b, v, w)
+    square = squares_mod.associated_magic_square(a, b, v, w, cap=args.max_product)
     print(canonical_json(squares_mod.to_json_doc(square)))
     return EXIT_OK
 
@@ -206,7 +206,7 @@ def _cmd_square_mostperfect(args: argparse.Namespace) -> int:
     if system.flavour != sds_mod.NON_INCLUSIVE:
         raise InputError("most perfect squares need a non-inclusive system")
     a, b = _two_parts(system)
-    square = squares_mod.most_perfect_square(a, b)
+    square = squares_mod.most_perfect_square(a, b, cap=args.max_product)
     print(canonical_json(squares_mod.to_json_doc(square)))
     return EXIT_OK
 

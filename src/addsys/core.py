@@ -211,6 +211,14 @@ def minkowski_sum(
     before materialising anything larger than ``cap`` elements, and
     Int64OverflowError if any sum could leave 64-bit range.
     """
+    _require_sum_bounds(sets, cap)
+    sums = _outer_sums(sets)
+    sums.sort()
+    return sums
+
+
+def _require_sum_bounds(sets: Sequence[Sequence[int]], cap: int) -> None:
+    """The cap and int64 gates of ``minkowski_sum``, without forming any sum."""
     total = 1
     for s in sets:
         if not s:
@@ -222,9 +230,6 @@ def minkowski_sum(
             )
     ensure_int64(sum(max(s) for s in sets), "largest sum")
     ensure_int64(sum(min(s) for s in sets), "smallest sum")
-    sums = _outer_sums(sets)
-    sums.sort()
-    return sums
 
 
 def _outer_sums(sets: Iterable[Iterable[int]]) -> list[int]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Sequence
 
 from .core import (
@@ -28,7 +29,7 @@ from .core import (
     ensure_int64,
 )
 from .factorisation import JointOrderedFactorisation, _require_buildable, _walk_stages
-from .sumsystem import verify_sum_system
+from .sumsystem import _certificate_first, _certified, verify_sum_system
 
 
 @dataclass(frozen=True)
@@ -210,18 +211,91 @@ def verify_property_V(M: Cuboid) -> VerificationReport:
 def verify_reversible(M: Cuboid) -> VerificationReport:
     """All defining checks of a principal reversible cuboid.
 
-    Checked in order: strict monotonicity along every line of every
-    direction, the vertex cross sum property, then entry set equal to
-    0 .. size - 1.  Line reversal symmetry is not scanned: once these
-    three hold, the axes form a sum system, whose parts are
+    Every entry must be an ``int``.  A float, string or other non-integer
+    raises InputError before any check; a ``bool`` or other ``int``
+    subclass raises it instead of a pass, and a failing cuboid reads it
+    as its value.  Checked in order: strict monotonicity along every
+    line of every direction, the vertex cross sum property, then entry
+    set equal to 0 .. size - 1.  Line reversal symmetry is not scanned:
+    once these three hold, the axes form a sum system, whose parts are
     palindromic, and vertex sums carry that symmetry to every line.
+
+    Two routes give the same report.  When prod(dims) is at least
+    ``sumsystem._CERTIFICATE_RATIO`` times sum(dims) and the root is 0,
+    the sum-system certificate runs on the axes.  If it holds, the
+    outer sums of the axes form a valid cuboid, and the tensor passes
+    when it equals them.  Otherwise every entry before the first
+    mismatch p agrees with a valid cuboid, so the report is the first
+    monotonicity violation in the blocks from p on, or else vertex sums
+    at p.  Every other input gets the ordered scan of all three checks.
     """
     entries = M.entries
-    stride_of = strides(M.dims)
-    for j in range(1, M.order + 1):
-        step = stride_of[j - 1]
-        block = step * M.dims[j - 1]
-        for start in range(0, M.size, block):
+    # Summing is a third of the cost of reading every type, and any
+    # non-integer that is not an int subclass makes the sum fail or stop
+    # being an int; the exact type check waits for a pass.
+    try:
+        integral = type(sum(entries)) is int
+    except TypeError:
+        integral = False
+    if not integral:
+        raise _non_int_entry(M)
+    if entries[0] == 0 and _certificate_first(M.dims):
+        axes = _axes(M)
+        if _certified(axes, M.dims):
+            expected = _outer_sums(axes)
+            if list(entries) == expected:
+                return _pass_if_exact_ints(M)
+            p = next(compress(count(), map(operator.ne, entries, expected)))
+            monotonicity = _monotonicity(M, p)
+            if monotonicity is not None:
+                return monotonicity
+            return VerificationReport.fail(
+                "vertex-sums", witness=list(multi_index(M.dims, p))
+            )
+    return _scan_reversible(M)
+
+
+def _scan_reversible(M: Cuboid) -> VerificationReport:
+    """The ordered scan: monotonicity, vertex sums, then the entry set."""
+    monotonicity = _monotonicity(M)
+    if monotonicity is not None:
+        return monotonicity
+    vertex = verify_property_V(M)
+    if not vertex.passed:
+        return vertex
+    seen = bytearray(M.size)
+    for x in M.entries:
+        if not (0 <= x < M.size) or seen[x]:
+            return VerificationReport.fail("entry-set", witness=x)
+        seen[x] = 1
+    return _pass_if_exact_ints(M)
+
+
+def _pass_if_exact_ints(M: Cuboid) -> VerificationReport:
+    """Pass, unless a ``bool`` or other int subclass stood in for an int."""
+    if set(map(type, M.entries)) != {int}:
+        raise _non_int_entry(M)
+    return VerificationReport.ok()
+
+
+def _non_int_entry(M: Cuboid) -> InputError:
+    flat, x = next((i, x) for i, x in enumerate(M.entries) if type(x) is not int)
+    return InputError(
+        f"entries must be integers, got {x!r} at index {list(multi_index(M.dims, flat))}"
+    )
+
+
+def _monotonicity(M: Cuboid, first: int = 0) -> VerificationReport | None:
+    """The first line pair, direction by direction, that does not increase.
+
+    Pairs with both positions before ``first`` are known to increase.  A
+    pair lies within one block of its direction, so every other pair
+    lies in the block holding ``first`` or a later one.
+    """
+    entries = M.entries
+    for j, (step, n) in enumerate(zip(strides(M.dims), M.dims), start=1):
+        block = step * n
+        for start in range(first // block * block, M.size, block):
             chunk = entries[start : start + block]
             if not all(map(operator.lt, chunk, chunk[step:])):
                 for i, (a, b) in enumerate(zip(chunk, chunk[step:])):
@@ -233,15 +307,7 @@ def verify_reversible(M: Cuboid) -> VerificationReport:
                                 "index": list(multi_index(M.dims, start + i)),
                             },
                         )
-    vertex = verify_property_V(M)
-    if not vertex.passed:
-        return vertex
-    seen = bytearray(M.size)
-    for flat, x in enumerate(entries):
-        if not (0 <= x < M.size) or seen[x]:
-            return VerificationReport.fail("entry-set", witness=x)
-        seen[x] = 1
-    return VerificationReport.ok()
+    return None
 
 
 def decompose_cuboid(M: Cuboid, check: bool = True) -> JointOrderedFactorisation:

@@ -19,15 +19,17 @@ from .core import (
     DEFAULT_CAP,
     CapExceededError,
     InputError,
+    Int64OverflowError,
     Progression,
     SumSystem,
     VerificationReport,
     _require_passed,
+    _require_sum_bounds,
     as_component_set,
     is_progression,
     minkowski_sum,
 )
-from .sumsystem import verify_sum_system
+from .sumsystem import _certificate_first, _certified, verify_sum_system
 
 NON_INCLUSIVE = "non-inclusive"
 INCLUSIVE = "inclusive"
@@ -78,6 +80,33 @@ def _target(s: SdsSystem) -> Progression:
 
 def verify_sds(s: SdsSystem, cap: int = DEFAULT_CAP) -> VerificationReport:
     """Check the defining property for either flavour.
+
+    Two routes give the same report.  Let dims be the sizes of the
+    signed parts (2n, or 2n + 1 for the inclusive flavour).  When
+    prod(dims) is at least ``sumsystem._CERTIFICATE_RATIO`` times
+    sum(dims), the cap and int64 gates run, the system is mapped
+    unchecked to its sum system, and the system passes if the
+    sum-system certificate holds on the image: the bijection carries
+    a valid image back to a valid system.  A map that is undefined on
+    the input gives no certificate.  Otherwise, and for every smaller
+    system, the ordered scan answers, naming the first violated
+    invariant and its witness.
+    """
+    inclusive = s.flavour == INCLUSIVE
+    if _certificate_first([2 * n + inclusive for n in s.sizes]):
+        _require_sum_bounds([_signed(p, inclusive) for p in s.parts], cap)
+        to_sumsys = sds_to_sumsys_inclusive if inclusive else sds_to_sumsys_noninclusive
+        try:
+            ss = to_sumsys(s, check=False)
+        except (InputError, Int64OverflowError):
+            ss = None
+        if ss is not None and _certified(ss.parts, ss.dims):
+            return VerificationReport.ok()
+    return _scan_sds(s, cap)
+
+
+def _scan_sds(s: SdsSystem, cap: int = DEFAULT_CAP) -> VerificationReport:
+    """The ordered scan: sort every signed sum and compare with the target.
 
     Sums every signed copy (plus 0 for the inclusive flavour) one
     element per part and compares against the flavour's symmetric

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
+    DEFAULT_CAP,
     InputError,
     VerificationReport,
     _require_passed,
@@ -59,7 +60,9 @@ class SquareMatrix:
         return [[x // 2 for x in row] for row in self.doubled]
 
 
-def _paired_parts(a: Sequence[int], b: Sequence[int], flavour: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _paired_parts(
+    a: Sequence[int], b: Sequence[int], flavour: str, cap: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     first = as_component_set(a, require_positive=True, context="first part")
     second = as_component_set(b, require_positive=True, context="second part")
     if len(first) != len(second):
@@ -67,7 +70,7 @@ def _paired_parts(a: Sequence[int], b: Sequence[int], flavour: str) -> tuple[tup
             f"parts must have equal size, got {len(first)} and {len(second)}"
         )
     system = SdsSystem((first, second), flavour)
-    _require_passed(verify_sds(system), f"{flavour} pair")
+    _require_passed(verify_sds(system, cap=cap), f"{flavour} pair")
     return first, second
 
 
@@ -83,7 +86,9 @@ def _assemble(n: int, doubled_weightless) -> SquareMatrix:
     return SquareMatrix(n, grid)
 
 
-def reversible_square_even(a: Sequence[int], b: Sequence[int]) -> SquareMatrix:
+def reversible_square_even(
+    a: Sequence[int], b: Sequence[int], cap: int = DEFAULT_CAP
+) -> SquareMatrix:
     """Side 2*len(a) reversible square from a non-inclusive pair.
 
     The weightless form is separable: twice the entry at (I, J) is
@@ -91,7 +96,7 @@ def reversible_square_even(a: Sequence[int], b: Sequence[int]) -> SquareMatrix:
     and then its negative, beta likewise for the second part.  Entries
     are exactly 1 .. n^2 when the pair is a valid system.
     """
-    first, second = _paired_parts(a, b, NON_INCLUSIVE)
+    first, second = _paired_parts(a, b, NON_INCLUSIVE, cap)
     nu = len(first)
     n = 2 * nu
 
@@ -101,13 +106,15 @@ def reversible_square_even(a: Sequence[int], b: Sequence[int]) -> SquareMatrix:
     return _assemble(n, lambda i, j: signed(first, j) + signed(second, i))
 
 
-def reversible_square_odd(a: Sequence[int], b: Sequence[int]) -> SquareMatrix:
+def reversible_square_odd(
+    a: Sequence[int], b: Sequence[int], cap: int = DEFAULT_CAP
+) -> SquareMatrix:
     """Side 2*len(a) + 1 reversible square from an inclusive pair.
 
     Same separable pattern with a zero row and column through the
     centre; the centre entry is always the weight (n^2 + 1) / 2.
     """
-    first, second = _paired_parts(a, b, INCLUSIVE)
+    first, second = _paired_parts(a, b, INCLUSIVE, cap)
     nu = len(first)
     n = 2 * nu + 1
 
@@ -139,6 +146,7 @@ def associated_magic_square(
     b: Sequence[int],
     v: Sequence[int] | None = None,
     w: Sequence[int] | None = None,
+    cap: int = DEFAULT_CAP,
 ) -> SquareMatrix:
     """Magic square with the centre-pair symmetry, from a non-inclusive pair.
 
@@ -146,7 +154,7 @@ def associated_magic_square(
     that scramble the rank-one block pattern without disturbing the row
     and column sums.  Requires even part size.
     """
-    first, second = _paired_parts(a, b, NON_INCLUSIVE)
+    first, second = _paired_parts(a, b, NON_INCLUSIVE, cap)
     nu = len(first)
     if nu % 2:
         raise InputError(f"part size must be even, got {nu}")
@@ -169,7 +177,9 @@ def associated_magic_square(
     return _assemble(n, weightless2)
 
 
-def most_perfect_square(a2: Sequence[int], b2: Sequence[int]) -> SquareMatrix:
+def most_perfect_square(
+    a2: Sequence[int], b2: Sequence[int], cap: int = DEFAULT_CAP
+) -> SquareMatrix:
     """Most perfect square from a non-inclusive pair of even size.
 
     The inputs play the role of doubled coefficient vectors, so the
@@ -178,7 +188,7 @@ def most_perfect_square(a2: Sequence[int], b2: Sequence[int]) -> SquareMatrix:
     2 * (n^2 + 1) and diagonal entries half the side apart pair to
     n^2 + 1.
     """
-    first, second = _paired_parts(a2, b2, NON_INCLUSIVE)
+    first, second = _paired_parts(a2, b2, NON_INCLUSIVE, cap)
     nu = len(first)
     if nu % 2:
         raise InputError(f"part size must be even, got {nu}")

@@ -11,16 +11,19 @@ characteristic polynomials must have all-ones coefficients.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
     DEFAULT_CAP,
     CapExceededError,
     InputError,
+    InternalContradictionError,
     SumSystem,
     VerificationReport,
     _require_passed,
+    _require_sum_bounds,
     as_component_set,
     ensure_int64,
     first_segment,
@@ -48,8 +51,77 @@ def build_sum_system(jof: JointOrderedFactorisation) -> SumSystem:
     return SumSystem(tuple(tuple(p) for p in parts))
 
 
+#: The certificate answers first only when prod(dims) is at least this
+#: many times sum(dims).  On a 2-vCPU Xeon (Python 3.11.7) the stage walk
+#: costs 1.4-4.4 us per part element on dims such as (2, 148), (4, 4, 3)
+#: and (12, 10, 8), where its fixed cost per stage dominates, and 0.3 us
+#: on (512, 512); the ordered scan costs 0.14-0.41 us per sum.  So at
+#: this ratio a failing system pays about a quarter, at most a half, of
+#: its scan again for the walk, while below it the walk can cost as much
+#: as the scan it precedes.
+_CERTIFICATE_RATIO = 64
+
+
+def _certificate_first(dims: Sequence[int]) -> bool:
+    return math.prod(dims) >= _CERTIFICATE_RATIO * sum(dims)
+
+
+def _prefix_copies(
+    parts: Sequence[Sequence[int]],
+) -> Callable[[int, list[int], int, int], int | None]:
+    """The stage walk's copy check on parts.
+
+    Copy l of the stretch must be the consumed prefix plus l * product.
+    """
+
+    def broken_copy(j: int, consumed: list[int], factor: int, product: int) -> int | None:
+        part = parts[j]
+        base = consumed[j]
+        prefix = part[:base]
+        for l in range(1, factor):
+            offset = l * product
+            if part[l * base : (l + 1) * base] != tuple(x + offset for x in prefix):
+                return l
+        return None
+
+    return broken_copy
+
+
+def _certified(parts: Sequence[Sequence[int]], dims: Sequence[int]) -> bool:
+    """Does the stage walk complete on parts that each start at 0?
+
+    Each closed stage is the consumed prefix plus l * product for l = 1
+    .. factor - 1, so a completed walk proves the parts equal
+    ``build_sum_system`` of the steps it recovered, which is a sum
+    system by uniqueness of mixed-radix digits.
+    """
+    try:
+        _walk_stages(parts, dims, _prefix_copies(parts))
+    except InternalContradictionError:
+        return False
+    return True
+
+
 def verify_sum_system(ss: SumSystem, cap: int = DEFAULT_CAP) -> VerificationReport:
-    """Full check: the sum multiset equals 0 .. prod(sizes) - 1, once each."""
+    """Full check: the sum multiset equals 0 .. prod(sizes) - 1, once each.
+
+    Two routes give the same report.  When prod(sizes) is at least
+    ``_CERTIFICATE_RATIO`` times sum(sizes), the cap and int64 gates run
+    and then the stage walk of ``decompose_sum_system`` serves as a
+    certificate: if it completes, the system passes in O(sum(sizes))
+    without forming a sum.  Otherwise, and for every smaller system,
+    the ordered scan sorts all prod(sizes) sums and answers, naming
+    the first violated invariant and its witness.
+    """
+    if _certificate_first(ss.dims):
+        _require_sum_bounds(ss.parts, cap)
+        if _certified(ss.parts, ss.dims):
+            return VerificationReport.ok()
+    return _scan_sum_system(ss, cap)
+
+
+def _scan_sum_system(ss: SumSystem, cap: int = DEFAULT_CAP) -> VerificationReport:
+    """The ordered scan: sort every sum and compare with 0 .. prod(sizes) - 1."""
     sums = minkowski_sum(ss.parts, cap=cap)
     return is_progression(sums, first_segment(ss.target_size))
 
@@ -125,19 +197,7 @@ def decompose_sum_system(
     """
     if check:
         _require_passed(verify_sum_system(ss, cap=cap), "decompose input")
-    parts = ss.parts
-
-    def broken_copy(j: int, consumed: list[int], factor: int, product: int) -> int | None:
-        part = parts[j]
-        base = consumed[j]
-        prefix = part[:base]
-        for l in range(1, factor):
-            offset = l * product
-            if part[l * base : (l + 1) * base] != tuple(x + offset for x in prefix):
-                return l
-        return None
-
-    return _walk_stages(parts, ss.dims, broken_copy)
+    return _walk_stages(ss.parts, ss.dims, _prefix_copies(ss.parts))
 
 
 def base_q_system(q: int, m: int) -> SumSystem:

@@ -229,6 +229,16 @@ class TestSquare:
         assert code == 0
         assert json.loads(verdict)["note"] == "toroidal-2x2-blocks"
 
+    @pytest.mark.parametrize("command", ["reversible", "magic", "mostperfect"])
+    def test_max_product_caps_the_pair_check(self, capsys, command):
+        payload = json.dumps({"flavour": "non-inclusive", "parts": [[7, 9], [2, 6]]})
+        code, out, err = run_cli(
+            capsys, "square", command, "--max-product", "3", "--sds", "-", stdin=payload
+        )
+        assert code == 3
+        assert out == ""
+        assert "cap is 3" in err
+
     def test_magic_rejects_inclusive(self, capsys):
         payload = json.dumps({"flavour": "inclusive", "parts": [[1], [3]]})
         code, _, err = run_cli(capsys, "square", "magic", "--sds", "-", stdin=payload)

@@ -257,6 +257,24 @@ class TestVerifyReversible:
         report = verify_reversible(Cuboid((2, 2), (0, 1, 2, 4)))
         assert report.violated_invariant == "vertex-sums"
 
+    @pytest.mark.parametrize(
+        "M",
+        [
+            Cuboid((2,), (0.5, 1)),
+            Cuboid((2,), (0, 1.0)),
+            Cuboid((2, 2), (0, 1, 3, 2.0)),
+            Cuboid((2,), (0, "1")),
+            Cuboid((2,), (False, True)),
+        ],
+    )
+    def test_non_integer_entries_rejected(self, M):
+        with pytest.raises(InputError, match="entries must be integers"):
+            verify_reversible(M)
+
+    def test_bool_in_failing_cuboid_read_as_value(self):
+        report = verify_reversible(Cuboid((2, 2), (False, True, 3, 2)))
+        assert report.witness == {"direction": 1, "index": [1, 2]}
+
     @given(mutated_cuboids())
     @settings(max_examples=300, deadline=None)
     def test_line_reversal_follows_from_the_other_checks(self, M):
