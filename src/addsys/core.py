@@ -4,7 +4,7 @@ Every verifier in the package reduces to two operations defined here:
 forming the multiset of elementwise sums of several integer sets, and
 comparing that multiset against a prescribed arithmetic progression.
 The sums come from ``_outer_sums``, the one outer-sum expansion, which
-the cuboid module also uses to tabulate tensors and sub-box row starts.
+the cuboid module also uses to tabulate and check tensors.
 All arithmetic is exact and restricted to signed 64-bit magnitudes;
 exceeding that range is a hard error, never a silent wraparound.
 """

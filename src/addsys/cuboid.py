@@ -22,6 +22,7 @@ from .core import (
     DEFAULT_CAP,
     CapExceededError,
     InputError,
+    InternalContradictionError,
     SumSystem,
     VerificationReport,
     _outer_sums,
@@ -40,6 +41,10 @@ class Cuboid:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # Freeze both fields: slices of the entries must be tuples, and
+        # the cuboid hashable.  ``tuple(t) is t`` for a tuple.
+        object.__setattr__(self, "dims", tuple(self.dims))
+        object.__setattr__(self, "entries", tuple(self.entries))
         if not self.dims or any(n < 1 for n in self.dims):
             raise InputError(f"dims must be positive, got {list(self.dims)}")
         total = 1
@@ -195,17 +200,29 @@ def verify_property_V(M: Cuboid) -> VerificationReport:
     projections minus (order - 1) times the root entry; the root need
     not be zero.
     """
-    root = M.entries[0]
-    offsets = [[a - root for a in axis] for axis in _axes(M)]
-    expected = _outer_sums([(root,), *offsets])
-    if list(M.entries) == expected:
+    p = _vertex_mismatch(M)
+    if p is None:
         return VerificationReport.ok()
-    for flat, (got, want) in enumerate(zip(M.entries, expected)):
+    return VerificationReport.fail("vertex-sums", witness=list(multi_index(M.dims, p)))
+
+
+def _vertex_mismatch(M: Cuboid) -> int | None:
+    """First flat position that is not the closed form of its axes, or None.
+
+    Compares one last-direction block at a time, so only the outer sums
+    of the other axes are held and a fault stops the comparison there.
+    """
+    entries = M.entries
+    root = entries[0]
+    offsets = [[a - root for a in axis] for axis in _axes(M)]
+    inner = _outer_sums([(root,), *offsets[:-1]])
+    width = len(inner)
+    for start, offset in zip(count(0, width), offsets[-1]):
+        got = entries[start : start + width]
+        want = tuple([x + offset for x in inner])
         if got != want:
-            return VerificationReport.fail(
-                "vertex-sums", witness=list(multi_index(M.dims, flat))
-            )
-    raise AssertionError("unreachable")
+            return next(compress(count(start), map(operator.ne, got, want)))
+    return None
 
 
 def verify_reversible(M: Cuboid) -> VerificationReport:
@@ -239,19 +256,13 @@ def verify_reversible(M: Cuboid) -> VerificationReport:
         integral = False
     if not integral:
         raise _non_int_entry(M)
-    if entries[0] == 0 and _certificate_first(M.dims):
-        axes = _axes(M)
-        if _certified(axes, M.dims):
-            expected = _outer_sums(axes)
-            if list(entries) == expected:
-                return _pass_if_exact_ints(M)
-            p = next(compress(count(), map(operator.ne, entries, expected)))
-            monotonicity = _monotonicity(M, p)
-            if monotonicity is not None:
-                return monotonicity
-            return VerificationReport.fail(
-                "vertex-sums", witness=list(multi_index(M.dims, p))
-            )
+    if entries[0] == 0 and _certificate_first(M.dims) and _certified(_axes(M), M.dims):
+        p = _vertex_mismatch(M)
+        if p is None:
+            return _pass_if_exact_ints(M)
+        return _monotonicity(M, p) or VerificationReport.fail(
+            "vertex-sums", witness=list(multi_index(M.dims, p))
+        )
     return _scan_reversible(M)
 
 
@@ -313,34 +324,21 @@ def _monotonicity(M: Cuboid, first: int = 0) -> VerificationReport | None:
 def decompose_cuboid(M: Cuboid, check: bool = True) -> JointOrderedFactorisation:
     """Recover the canonical building chain of a reversible cuboid.
 
-    Runs the shared stage walk on the coordinate axes but checks each
-    closed stage on the tensor itself: it must be whole copies of the
-    previous sub-box offset by its size, compared one direction-1 row
-    slice at a time from row starts computed once per stage.
+    A reversible cuboid is the outer sum of its axes, and the axes form
+    a sum system, so the chain is the stage walk of
+    ``decompose_sum_system`` run on the axes.  ``check=True`` verifies
+    the cuboid first.  ``check=False`` trusts the walk's copy check for
+    the axes and compares the rest of the tensor with their outer sums.
     """
     if check:
         _require_passed(verify_reversible(M), "decompose input")
-    entries = M.entries
-    stride_of = strides(M.dims)
-
-    def broken_copy(j: int, consumed: list[int], factor: int, product: int) -> int | None:
-        # Rows of the sub-box with extents ``consumed`` start at the outer
-        # sums of the per-direction offsets; copy l shifts them along j.
-        width = consumed[0]
-        starts = _outer_sums(
-            range(0, n * s, s) for n, s in zip(consumed[1:], stride_of[1:])
+    jof = _walk_stages(_axes(M), M.dims)
+    p = None if check else _vertex_mismatch(M)
+    if p is not None:
+        raise InternalContradictionError(
+            f"entry at index {list(multi_index(M.dims, p))} is not the outer sum of the axes"
         )
-        step = consumed[j] * stride_of[j]
-        for l in range(1, factor):
-            shift = l * step
-            offset = l * product
-            for r in starts:
-                row = tuple([x + offset for x in entries[r : r + width]])
-                if entries[r + shift : r + shift + width] != row:
-                    return l
-        return None
-
-    return _walk_stages(_axes(M), M.dims, broken_copy)
+    return jof
 
 
 def to_json_doc(M: Cuboid) -> dict:
@@ -356,7 +354,7 @@ def from_json_doc(doc: object, cap: int = DEFAULT_CAP) -> Cuboid:
         raise InputError(f"cuboid document lacks {sorted(missing)}")
     dims = doc["dims"]
     entries = doc["entries"]
-    if not isinstance(dims, list) or not all(isinstance(n, int) for n in dims):
+    if not isinstance(dims, list) or not all(type(n) is int for n in dims):
         raise InputError("'dims' must be a list of integers")
     if not isinstance(entries, list):
         raise InputError("'entries' must be a flat list of integers")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import InputError, InternalContradictionError, VerificationReport
 
@@ -190,17 +190,16 @@ def canonicalise(steps: Sequence[Step], dims: Sequence[int]) -> JointOrderedFact
 
 
 def _walk_stages(
-    axes: Sequence[Sequence[int]],
-    dims: Sequence[int],
-    broken_copy: Callable[[int, list[int], int, int], int | None],
+    axes: Sequence[Sequence[int]], dims: Sequence[int]
 ) -> JointOrderedFactorisation:
     """Recover the canonical JOF from the axes of a sum system or cuboid.
 
     At every stage the smallest value not yet covered is the next value
     on exactly one axis; that direction advances until another axis's
     next value (the fence) is smaller.  The stretch must be whole copies
-    of what the direction had covered, which ``broken_copy(j, consumed,
-    factor, product)`` checks, returning the first broken copy or None.
+    of the axis prefix the direction had covered, copy l offset by l
+    times the product of the factors so far.  Anything else raises
+    InternalContradictionError.
     """
     m = len(dims)
     consumed = [1] * m
@@ -229,11 +228,13 @@ def _walk_stages(
                 " not a whole number of copies"
             )
         factor = cursor // base
-        copy = broken_copy(j, consumed, factor, product)
-        if copy is not None:
-            raise InternalContradictionError(
-                f"direction {j + 1} copy {copy} breaks the offset-copy structure"
-            )
+        prefix = axis[:base]
+        for l in range(1, factor):
+            offset = l * product
+            if axis[l * base : (l + 1) * base] != tuple([x + offset for x in prefix]):
+                raise InternalContradictionError(
+                    f"direction {j + 1} copy {l} breaks the offset-copy structure"
+                )
         consumed[j] = cursor
         product *= factor
         steps.append((j + 1, factor))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import (
     DEFAULT_CAP,
@@ -66,37 +66,18 @@ def _certificate_first(dims: Sequence[int]) -> bool:
     return math.prod(dims) >= _CERTIFICATE_RATIO * sum(dims)
 
 
-def _prefix_copies(
-    parts: Sequence[Sequence[int]],
-) -> Callable[[int, list[int], int, int], int | None]:
-    """The stage walk's copy check on parts.
-
-    Copy l of the stretch must be the consumed prefix plus l * product.
-    """
-
-    def broken_copy(j: int, consumed: list[int], factor: int, product: int) -> int | None:
-        part = parts[j]
-        base = consumed[j]
-        prefix = part[:base]
-        for l in range(1, factor):
-            offset = l * product
-            if part[l * base : (l + 1) * base] != tuple(x + offset for x in prefix):
-                return l
-        return None
-
-    return broken_copy
-
-
 def _certified(parts: Sequence[Sequence[int]], dims: Sequence[int]) -> bool:
     """Does the stage walk complete on parts that each start at 0?
 
     Each closed stage is the consumed prefix plus l * product for l = 1
     .. factor - 1, so a completed walk proves the parts equal
     ``build_sum_system`` of the steps it recovered, which is a sum
-    system by uniqueness of mixed-radix digits.
+    system by uniqueness of mixed-radix digits.  The parts may be the
+    axes of a cuboid; ``cuboid.verify_reversible`` then compares the
+    tensor with their outer sums.
     """
     try:
-        _walk_stages(parts, dims, _prefix_copies(parts))
+        _walk_stages(parts, dims)
     except InternalContradictionError:
         return False
     return True
@@ -197,7 +178,7 @@ def decompose_sum_system(
     """
     if check:
         _require_passed(verify_sum_system(ss, cap=cap), "decompose input")
-    return _walk_stages(ss.parts, ss.dims, _prefix_copies(ss.parts))
+    return _walk_stages(ss.parts, ss.dims)
 
 
 def base_q_system(q: int, m: int) -> SumSystem:

@@ -11,8 +11,14 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from addsys.core import InputError, SumSystem
-from addsys.cuboid import Cuboid, _scan_reversible, build_cuboid, verify_reversible
+from addsys.core import InputError, SumSystem, VerificationFailedError, VerificationReport
+from addsys.cuboid import (
+    Cuboid,
+    _scan_reversible,
+    build_cuboid,
+    decompose_cuboid,
+    verify_reversible,
+)
 from addsys.factorisation import JointOrderedFactorisation, enumerate_jofs
 from addsys.sds import (
     INCLUSIVE,
@@ -144,6 +150,18 @@ class TestCuboid:
     def test_public_report_equals_scan_above_ratio(self, M):
         assert _certificate_first(M.dims)
         assert outcome(verify_reversible, M) == outcome(_scan_reversible, M)
+
+    @given(mutated_large_cuboids())
+    @settings(max_examples=150, deadline=None)
+    def test_decompose_agrees_with_scan(self, M):
+        def decompose_report(M):
+            try:
+                decompose_cuboid(M)
+            except VerificationFailedError as exc:
+                return exc.report
+            return VerificationReport.ok()
+
+        assert outcome(decompose_report, M) == outcome(_scan_reversible, M)
 
     def test_unit_dimension_both_routes(self):
         M = build_cuboid(JointOrderedFactorisation(tuple((j, 2) for j in range(1, 12)), (2,) * 11))

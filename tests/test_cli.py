@@ -1,8 +1,13 @@
+import io
 import json
+import math
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from addsys.cli import main
 from conftest import (
@@ -177,6 +182,14 @@ class TestCuboid:
         assert code == 1
         assert json.loads(out)["violated_invariant"] == "monotonicity"
 
+    def test_bool_dims_rejected(self, capsys):
+        payload = json.dumps({"dims": [True, 4], "entries": [0, 1, 2, 3]})
+        for command in ("verify", "decompose"):
+            code, out, err = run_cli(capsys, "cuboid", command, "-", stdin=payload)
+            assert code == 2
+            assert out == ""
+            assert "'dims' must be a list of integers" in err
+
     def test_cap_exit(self, capsys):
         code, _, err = run_cli(
             capsys, "cuboid", "build", "--jof", "1:100000,2:10000"
@@ -273,3 +286,67 @@ class TestContract:
         )
         assert proc.returncode == 0
         assert proc.stdout == '{"count":2}\n'
+
+
+#: Every command that reads a JSON document, without its source argument.
+DOCUMENT_COMMANDS = [
+    ["sumsys", "verify"],
+    ["sumsys", "decompose"],
+    ["sds", "from-sumsys"],
+    ["sds", "to-sumsys"],
+    ["sds", "verify"],
+    ["cuboid", "verify"],
+    ["cuboid", "decompose"],
+    ["square", "reversible", "--sds"],
+    ["square", "magic", "--sds"],
+    ["square", "mostperfect", "--sds"],
+    *(["square", "verify", "--kind", kind] for kind in ("reversible", "associated", "most-perfect")),
+]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+small_ints = st.booleans() | st.integers(-1, 6)
+
+
+def lists_of(n: int):
+    """A run 0 .. n - 1, n small integers or booleans, or any JSON value."""
+    return st.just(list(range(n))) | st.lists(small_ints, min_size=n, max_size=n) | json_values
+
+
+@st.composite
+def documents(draw):
+    """Any JSON value, or an object holding the keys the commands read."""
+    if draw(st.booleans()):
+        return draw(json_values)
+    dims = draw(st.lists(small_ints, max_size=3))
+    side = draw(st.integers(0, 4))
+    doc = {
+        "dims": dims,
+        "entries": draw(
+            lists_of(max(math.prod(dims), 0))
+            | st.lists(lists_of(side), min_size=side, max_size=side)
+        ),
+        "parts": [draw(lists_of(max(n, 0))) for n in dims],
+        "flavour": draw(st.sampled_from(["inclusive", "non-inclusive"]) | json_values),
+        "n": draw(small_ints | json_values),
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(doc)))):
+        del doc[key]
+    return doc
+
+
+class TestRobustness:
+    @given(st.sampled_from(DOCUMENT_COMMANDS), documents())
+    @settings(max_examples=500, deadline=None)
+    def test_any_document_gets_a_documented_exit(self, command, doc):
+        out = io.StringIO()
+        with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))), \
+                redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main([*command, "-"])
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            dims = json.loads(out.getvalue()).get("dims", [])
+            assert all(type(n) is int for n in dims)

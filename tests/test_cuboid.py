@@ -11,6 +11,7 @@ from addsys.core import (
 )
 from addsys.cuboid import (
     Cuboid,
+    _axes,
     axis_sets,
     build_cuboid,
     building_op,
@@ -27,7 +28,7 @@ from addsys.cuboid import (
     verify_reversible,
 )
 from addsys.factorisation import JointOrderedFactorisation, enumerate_jofs
-from addsys.sumsystem import build_sum_system
+from addsys.sumsystem import _certified, build_sum_system
 from conftest import DIMS_E1, DIMS_E2, DIMS_E3, E1A_PARTS, E3_PARTS, JOF_E1A, JOF_E2, JOF_E3
 from support import dims_vectors_up_to
 
@@ -307,6 +308,22 @@ class TestDecompose:
     def test_verification_enforced(self):
         with pytest.raises(VerificationFailedError):
             decompose_cuboid(Cuboid((2, 2), (0, 1, 1, 3)))
+
+    @pytest.mark.parametrize(
+        "steps, dims",
+        [
+            (JOF_E1A, DIMS_E1),
+            # product 2048 is above the certificate's size ratio
+            (tuple((j, 2) for j in range(1, 12)), (2,) * 11),
+        ],
+    )
+    def test_list_fields_are_frozen(self, steps, dims):
+        M = build_cuboid(jof(steps, dims))
+        listed = Cuboid(list(M.dims), list(M.entries))
+        assert listed == M and hash(listed) == hash(M)
+        assert _certified(_axes(listed), listed.dims)
+        assert verify_reversible(listed).passed
+        assert decompose_cuboid(listed).steps == steps
 
     @pytest.mark.parametrize(
         "M",
