@@ -12,6 +12,8 @@ exceeding that range is a hard error, never a silent wraparound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import ne
 from typing import Any, Iterable, Sequence
 
 INT64_MIN = -(2**63)
@@ -37,8 +39,13 @@ class InternalContradictionError(RuntimeError):
     """A state arose that the verified precondition rules out.
 
     Raised by the decomposition routines when an input that claimed to
-    be verified turns out not to be.
+    be verified turns out not to be.  ``witness`` is the ordered scan's
+    witness where the stage walk can name it, else None.
     """
+
+    def __init__(self, message: str, witness: int | None = None):
+        super().__init__(message)
+        self.witness = witness
 
 
 @dataclass(frozen=True)
@@ -242,13 +249,11 @@ def _outer_sums(sets: Iterable[Iterable[int]]) -> list[int]:
 
 def is_progression(multiset: Sequence[int], p: Progression) -> VerificationReport:
     """Does a sorted multiset equal a progression with multiplicity one each?"""
-    expected = list(range(p.start, p.start + p.step * p.count, p.step))
-    actual = list(multiset)
-    if actual == expected:
-        return VerificationReport.ok()
+    expected = range(p.start, p.start + p.step * p.count, p.step)
+    actual = multiset if isinstance(multiset, (list, tuple)) else list(multiset)
     if len(actual) != len(expected):
         return VerificationReport.fail("cardinality", witness=len(actual))
-    for got, want in zip(actual, expected):
-        if got != want:
-            return VerificationReport.fail("target-mismatch", witness=got)
-    raise AssertionError("unreachable")
+    i = next(compress(count(), map(ne, actual, expected)), None)
+    if i is None:
+        return VerificationReport.ok()
+    return VerificationReport.fail("target-mismatch", witness=actual[i])

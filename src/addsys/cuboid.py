@@ -30,7 +30,7 @@ from .core import (
     ensure_int64,
 )
 from .factorisation import JointOrderedFactorisation, _require_buildable, _walk_stages
-from .sumsystem import _certificate_first, _certified, verify_sum_system
+from .sumsystem import _certificate_first, _walk_stop, verify_sum_system
 
 
 @dataclass(frozen=True)
@@ -256,7 +256,7 @@ def verify_reversible(M: Cuboid) -> VerificationReport:
         integral = False
     if not integral:
         raise _non_int_entry(M)
-    if entries[0] == 0 and _certificate_first(M.dims) and _certified(_axes(M), M.dims):
+    if entries[0] == 0 and _certificate_first(M.dims) and _walk_stop(_axes(M), M.dims) is None:
         p = _vertex_mismatch(M)
         if p is None:
             return _pass_if_exact_ints(M)
@@ -328,10 +328,13 @@ def decompose_cuboid(M: Cuboid, check: bool = True) -> JointOrderedFactorisation
     a sum system, so the chain is the stage walk of
     ``decompose_sum_system`` run on the axes.  ``check=True`` verifies
     the cuboid first.  ``check=False`` trusts the walk's copy check for
-    the axes and compares the rest of the tensor with their outer sums.
+    the axes and compares the rest of the tensor with their outer sums;
+    both hold only relative to the root, so the root must be 0.
     """
     if check:
         _require_passed(verify_reversible(M), "decompose input")
+    elif M.entries[0] != 0:
+        raise InternalContradictionError(f"root entry is {M.entries[0]!r}, not 0")
     jof = _walk_stages(_axes(M), M.dims)
     p = None if check else _vertex_mismatch(M)
     if p is not None:

@@ -14,6 +14,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, count
+from math import isqrt, prod
+from operator import ne
 from typing import Iterator, Sequence
 
 from .core import InputError, InternalContradictionError, VerificationReport
@@ -41,7 +44,10 @@ class JointOrderedFactorisation:
 
 @lru_cache(maxsize=None)
 def _divisors_ge2(n: int) -> tuple[int, ...]:
-    return tuple(d for d in range(2, n + 1) if n % d == 0)
+    """The divisors of n from 2 up, ascending, found in O(sqrt(n)) trials."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    large = [n // d for d in reversed(small) if d * d != n]
+    return tuple(small[1:] + large)
 
 
 def validate_jof(steps: Sequence[Step], dims: Sequence[int]) -> VerificationReport:
@@ -189,17 +195,32 @@ def canonicalise(steps: Sequence[Step], dims: Sequence[int]) -> JointOrderedFact
     return JointOrderedFactorisation(tuple(fused), dims)
 
 
-def _walk_stages(
-    axes: Sequence[Sequence[int]], dims: Sequence[int]
-) -> JointOrderedFactorisation:
+def _walk_stages(axes: Sequence[Sequence[int]], dims: Sequence[int]) -> JointOrderedFactorisation:
     """Recover the canonical JOF from the axes of a sum system or cuboid.
 
-    At every stage the smallest value not yet covered is the next value
-    on exactly one axis; that direction advances until another axis's
-    next value (the fence) is smaller.  The stretch must be whole copies
-    of the axis prefix the direction had covered, copy l offset by l
-    times the product of the factors so far.  Anything else raises
-    InternalContradictionError.
+    At every stage the smallest value not yet covered, the product P of
+    the factors so far, must be the next value s on exactly one axis;
+    that direction advances until another axis's next value (the fence)
+    is smaller, and the stretch must be whole copies A + l * P of the
+    prefix A it had covered.  Anything else raises
+    InternalContradictionError, with the scan's witness for axes that
+    start at 0 where this rule names it.
+
+    The scan names the first value v whose count c(v) among the sums is
+    not 1: v if c(v) >= 2, else the next sum above v.  Closed stages are
+    ``build_sum_system`` of their steps, so their sums cover 0 .. P - 1
+    once each and every other sum is at least s.  So a tied s, or s < P,
+    is the witness (counted twice), and so is s > P (c(P) = 0).  Inside
+    a stage let x_e = A[t] + l * P be the first expected value the axis
+    lacks (mismatched, or past a ragged end) and z the lesser of the
+    value found there and the fence.  The sums known so far, once each,
+    are 0 .. l * P - 1 and l * P + u for each u < P whose mixed-radix
+    digits give the direction an index below t; they include every
+    value below x_e, and the other sums are at least z.  So z < x_e, or
+    z = x_e from both sources, is the witness.  If z > x_e, c(x_e) = 0
+    and the witness is the first known sum above x_e if it is below z,
+    else z.  If z = x_e from one source, or that search passes sum(dims)
+    values, the error carries no witness.
     """
     m = len(dims)
     consumed = [1] * m
@@ -211,9 +232,9 @@ def _walk_stages(
             break
         nexts = [axes[j][consumed[j]] for j in open_dirs]
         smallest = min(nexts)
-        if nexts.count(smallest) != 1:
+        if nexts.count(smallest) != 1 or smallest != product:
             raise InternalContradictionError(
-                f"next value {smallest} appears in more than one direction"
+                f"next value {smallest} is tied or not {product}", smallest
             )
         j = open_dirs[nexts.index(smallest)]
         fence = min((x for x in nexts if x != smallest), default=None)
@@ -222,23 +243,46 @@ def _walk_stages(
         axis = axes[j]
         while cursor < dims[j] and (fence is None or axis[cursor] < fence):
             cursor += 1
-        if cursor % base != 0:
-            raise InternalContradictionError(
-                f"direction {j + 1} advanced from {base} to {cursor} values,"
-                " not a whole number of copies"
-            )
-        factor = cursor // base
         prefix = axis[:base]
-        for l in range(1, factor):
+        stretch = axis[:cursor]
+        for l in range(1, -(-cursor // base)):
             offset = l * product
-            if axis[l * base : (l + 1) * base] != tuple([x + offset for x in prefix]):
+            got = stretch[l * base : (l + 1) * base]
+            want = tuple([x + offset for x in prefix])
+            if got != want:
+                t = next(compress(count(), map(ne, got, want)), len(got))
+                found = axis[l * base + t] if l * base + t < dims[j] else None
                 raise InternalContradictionError(
-                    f"direction {j + 1} copy {l} breaks the offset-copy structure"
+                    f"direction {j + 1} copy {l} lacks {want[t]}",
+                    _copy_witness(want[t], found, fence, j + 1, l, t, steps, sum(dims)),
                 )
+        factor = cursor // base
         consumed[j] = cursor
         product *= factor
         steps.append((j + 1, factor))
     return canonicalise(steps, dims)
+
+
+def _copy_witness(
+    expected: int, found: int | None, fence: int | None,
+    j: int, l: int, t: int, steps: Sequence[Step], budget: int,
+) -> int | None:
+    """The rule of ``_walk_stages`` when copy l of direction j lacks A[t] + l * P."""
+    z = min((x for x in (found, fence) if x is not None), default=None)
+    if z is not None and z <= expected:
+        return z if z < expected or found == fence else None
+    product = prod(f for _, f in steps)
+    top = (l + 1) * product if z is None else min(z, (l + 1) * product)
+    for w in range(expected + 1, min(top, expected + 1 + budget)):
+        u, index, scale = w - l * product, 0, 1
+        for d, f in steps:
+            u, digit = divmod(u, f)
+            if d == j:
+                index += digit * scale
+                scale *= f
+        if index < t:
+            return w
+    return z if top <= expected + 1 + budget else None
 
 
 def format_jof(steps: Sequence[Step]) -> str:

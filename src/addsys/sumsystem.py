@@ -66,11 +66,13 @@ def _certificate_first(dims: Sequence[int]) -> bool:
     return math.prod(dims) >= _CERTIFICATE_RATIO * sum(dims)
 
 
-def _certified(parts: Sequence[Sequence[int]], dims: Sequence[int]) -> bool:
-    """Does the stage walk complete on parts that each start at 0?
+def _walk_stop(
+    parts: Sequence[Sequence[int]], dims: Sequence[int]
+) -> InternalContradictionError | None:
+    """Where the stage walk stops on parts that each start at 0, or None.
 
     Each closed stage is the consumed prefix plus l * product for l = 1
-    .. factor - 1, so a completed walk proves the parts equal
+    .. factor - 1, so a completed walk (None) proves the parts equal
     ``build_sum_system`` of the steps it recovered, which is a sum
     system by uniqueness of mixed-radix digits.  The parts may be the
     axes of a cuboid; ``cuboid.verify_reversible`` then compares the
@@ -78,9 +80,9 @@ def _certified(parts: Sequence[Sequence[int]], dims: Sequence[int]) -> bool:
     """
     try:
         _walk_stages(parts, dims)
-    except InternalContradictionError:
-        return False
-    return True
+    except InternalContradictionError as stop:
+        return stop
+    return None
 
 
 def verify_sum_system(ss: SumSystem, cap: int = DEFAULT_CAP) -> VerificationReport:
@@ -90,14 +92,20 @@ def verify_sum_system(ss: SumSystem, cap: int = DEFAULT_CAP) -> VerificationRepo
     ``_CERTIFICATE_RATIO`` times sum(sizes), the cap and int64 gates run
     and then the stage walk of ``decompose_sum_system`` serves as a
     certificate: if it completes, the system passes in O(sum(sizes))
-    without forming a sum.  Otherwise, and for every smaller system,
-    the ordered scan sorts all prod(sizes) sums and answers, naming
-    the first violated invariant and its witness.
+    without forming a sum.  If it stops, its closed stages cover
+    0 .. P - 1 once each, which fixes the first value the scan flags
+    (``factorisation._walk_stages`` gives the rule and its proof), and
+    the system fails ``target-mismatch`` with that witness.  Where the
+    rule is silent, and for every smaller system, the ordered scan sorts
+    all prod(sizes) sums and names the first violated invariant.
     """
     if _certificate_first(ss.dims):
         _require_sum_bounds(ss.parts, cap)
-        if _certified(ss.parts, ss.dims):
+        stop = _walk_stop(ss.parts, ss.dims)
+        if stop is None:
             return VerificationReport.ok()
+        if stop.witness is not None:
+            return VerificationReport.fail("target-mismatch", witness=stop.witness)
     return _scan_sum_system(ss, cap)
 
 

@@ -3,7 +3,8 @@
 The public verifiers accept through the stage walk only on systems whose
 dims product is at least ``_CERTIFICATE_RATIO`` times their sum, so the
 agreement is checked on the private certificate directly for small
-systems, and through the public verifiers on dims above the ratio.
+systems, and through the public verifiers on dims above the ratio.  The
+same holds for the witness the stage walk names when a sum system fails.
 """
 
 import math
@@ -11,6 +12,7 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import addsys.sumsystem
 from addsys.core import InputError, SumSystem, VerificationFailedError, VerificationReport
 from addsys.cuboid import (
     Cuboid,
@@ -30,12 +32,14 @@ from addsys.sds import (
 )
 from addsys.sumsystem import (
     _certificate_first,
-    _certified,
     _scan_sum_system,
+    _walk_stop,
     build_sum_system,
+    decompose_sum_system,
     polynomial_check,
     verify_sum_system,
 )
+from conftest import E4_PARTS
 from support import divisors_ge2
 
 #: Dims whose product is at least the ratio times their sum, so the
@@ -89,12 +93,77 @@ def maybe_mutated(draw, jofs):
     return bump_part(draw, ss) if draw(st.booleans()) else ss
 
 
+@st.composite
+def stage_mutated(draw, jofs):
+    """A built system with one to three elements moved, each in a drawn stage.
+
+    Every step of the factorisation is equally likely to be hit, early
+    stages included.  A move either bumps the element by +-k or sets it
+    to an element of another part that fits between its neighbours, so
+    that two parts tie; a bump is clamped between the neighbours.
+    """
+    jof = draw(jofs)
+    parts = [list(p) for p in build_sum_system(jof).parts]
+    for _ in range(draw(st.integers(1, 3))):
+        s = draw(st.integers(0, len(jof.steps) - 1))
+        j, f = jof.steps[s]
+        base = math.prod(g for i, g in jof.steps[:s] if i == j)
+        row = parts[j - 1]
+        k = draw(st.integers(base, base * f - 1))
+        low = row[k - 1] + 1
+        high = row[k + 1] - 1 if k + 1 < len(row) else row[k] + 100
+        ties = [x for i, p in enumerate(parts) if i != j - 1 for x in p if low <= x <= high]
+        if ties and draw(st.booleans()):
+            row[k] = draw(st.sampled_from(ties))
+        else:
+            bump = draw(st.sampled_from([-1, 1])) * draw(st.sampled_from([1, 2, 3, 7, 50]))
+            row[k] = min(max(row[k] + bump, low), high)
+    return SumSystem(tuple(tuple(p) for p in parts))
+
+
+def walk_witness(ss: SumSystem):
+    """The stage walk's witness, "complete" when it completes."""
+    stop = _walk_stop(ss.parts, ss.dims)
+    return "complete" if stop is None else stop.witness
+
+
+#: One system per branch of the rejection rule in
+#: ``factorisation._walk_stages``, with the witness the walk names
+#: (None where it leaves the answer to the scan).
+RULE_BRANCHES = {
+    # both parts continue with 1 at the first stage
+    "tie": (((0, 1, 4, 5), (0, 1)), 1),
+    # (0, 1, 4, 5), (0, 2) with 4 moved to 3: the third stage starts below P = 4
+    "s-below-P": (((0, 1, 3, 5), (0, 2)), 3),
+    # ... with 4 moved to 5 and 5 to 6: c(4) = 0, the next sum is 5
+    "s-above-P": (((0, 1, 5, 6), (0, 2)), 5),
+    # 12 moved to 10 in copy 2 of part 1's second stage: 10 is counted twice
+    "copy-bump-down": (((0, 1, 2, 6, 7, 8, 10, 13, 14), (0, 3)), 10),
+    # 14 moved to 16: c(14) = 0 and 15 = 12 + 3 decodes to part-1 index 0
+    "copy-bump-up-gap": (((0, 1, 2, 6, 7, 8, 12, 13, 16), (0, 3)), 15),
+    # part 1 stops at the fence 8 one element into copy 1; 6 = 4 + 2 is known
+    "ragged-at-fence": (((0, 1, 4, 9), (0, 2, 8, 10)), 6),
+    # part 1 runs out one element into copy 2; 10 = 8 + 2 is known
+    "ragged-at-end": (((0, 1, 4, 5, 8), (0, 2)), 10),
+    # the fence 5 is the missing value and part 1 also holds it next
+    "fence-and-found-equal": (((0, 1, 4, 5), (0, 2, 5, 7)), 5),
+    # the fence 5 is the missing value but part 1 holds 6: silent
+    "silent": (((0, 1, 4, 6), (0, 2, 5, 7)), None),
+    # 120 moved to 294: the next known sum, 144, lies more than
+    # sum(dims) = 15 values above 120, so the search gives up: silent
+    "silent-search-budget": (((0, 1), (0, 24, 96, 294), (0, 2, 4, 6), (0, 8, 16), (0, 48)), None),
+}
+
+#: A silent system above the ratio: the "silent" parts, then base-2 parts.
+SILENT_ABOVE_RATIO = ((0, 1, 4, 6), (0, 2, 5, 7), *((0, 2**k) for k in range(4, 11)))
+
+
 class TestSumSystem:
     @given(maybe_mutated(small_jofs()))
     @settings(max_examples=300, deadline=None)
     def test_certificate_scan_and_polynomial_agree(self, ss):
         verdict = _scan_sum_system(ss).passed
-        assert _certified(ss.parts, ss.dims) == verdict
+        assert (_walk_stop(ss.parts, ss.dims) is None) == verdict
         assert polynomial_check(ss).passed == verdict
 
     @given(maybe_mutated(large_ratio_jofs()))
@@ -103,14 +172,69 @@ class TestSumSystem:
         assert _certificate_first(ss.dims)
         assert verify_sum_system(ss) == _scan_sum_system(ss)
 
+    @given(stage_mutated(large_ratio_jofs()))
+    @settings(max_examples=300, deadline=None)
+    def test_public_report_equals_scan_every_stage(self, ss):
+        assert _certificate_first(ss.dims)
+        assert verify_sum_system(ss) == _scan_sum_system(ss)
+
+    @given(stage_mutated(small_jofs()))
+    @settings(max_examples=300, deadline=None)
+    def test_walk_witness_is_scan_witness(self, ss):
+        scan = _scan_sum_system(ss)
+        witness = walk_witness(ss)
+        if witness == "complete":
+            assert scan.passed
+        elif witness is not None:
+            assert scan == VerificationReport.fail("target-mismatch", witness=witness)
+
+    @pytest.mark.parametrize("branch", sorted(RULE_BRANCHES))
+    def test_rule_branch(self, branch):
+        parts, witness = RULE_BRANCHES[branch]
+        ss = SumSystem(parts)
+        assert walk_witness(ss) == witness
+        scan = _scan_sum_system(ss)
+        assert scan.violated_invariant == "target-mismatch"
+        if witness is not None:
+            assert scan.witness == witness
+
+    def test_silent_rule_falls_back_to_scan(self, monkeypatch):
+        ss = SumSystem(SILENT_ABOVE_RATIO)
+        assert _certificate_first(ss.dims) and walk_witness(ss) is None
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _scan_sum_system(*args)
+
+        monkeypatch.setattr(addsys.sumsystem, "_scan_sum_system", counted)
+        report = verify_sum_system(ss)
+        assert len(calls) == 1 and not report.passed
+        assert report == _scan_sum_system(ss)
+
+    def test_large_reject_without_scan(self, monkeypatch):
+        parts = [list(p) for p in E4_PARTS]
+        parts[4][6] += 1
+        ss = SumSystem(tuple(tuple(p) for p in parts))
+        expected = _scan_sum_system(ss)
+
+        def refuse(*args):
+            raise AssertionError("the ordered scan ran")
+
+        monkeypatch.setattr(addsys.sumsystem, "_scan_sum_system", refuse)
+        assert verify_sum_system(ss) == expected
+        with pytest.raises(VerificationFailedError) as failed:
+            decompose_sum_system(ss)
+        assert failed.value.report == expected
+
 
 @st.composite
 def mutated_large_cuboids(draw):
     """Built cuboids above the ratio, left alone or mutated one way.
 
     ``unit`` inserts a dimension of size 1, which keeps the flat entries;
-    ``shift`` adds 1 everywhere, so the axes pass the stage walk from
-    root 1 but the entry set fails; ``bool`` makes the root False.
+    ``shift`` adds 1 everywhere, which keeps monotonicity and vertex
+    sums but breaks the entry set; ``bool`` makes the root False.
     """
     M = build_cuboid(draw(large_ratio_jofs()))
     dims = M.dims

@@ -28,7 +28,7 @@ from addsys.cuboid import (
     verify_reversible,
 )
 from addsys.factorisation import JointOrderedFactorisation, enumerate_jofs
-from addsys.sumsystem import _certified, build_sum_system
+from addsys.sumsystem import _walk_stop, build_sum_system
 from conftest import DIMS_E1, DIMS_E2, DIMS_E3, E1A_PARTS, E3_PARTS, JOF_E1A, JOF_E2, JOF_E3
 from support import dims_vectors_up_to
 
@@ -321,7 +321,7 @@ class TestDecompose:
         M = build_cuboid(jof(steps, dims))
         listed = Cuboid(list(M.dims), list(M.entries))
         assert listed == M and hash(listed) == hash(M)
-        assert _certified(_axes(listed), listed.dims)
+        assert _walk_stop(_axes(listed), listed.dims) is None
         assert verify_reversible(listed).passed
         assert decompose_cuboid(listed).steps == steps
 
@@ -335,6 +335,10 @@ class TestDecompose:
             # the axes are a sum system, but the direction-2 copy of the
             # sub-box (0, 1) holds (2, 4), not (2, 3)
             Cuboid((2, 2), (0, 1, 2, 4)),
+            # a valid cuboid shifted by 1: axes and tensor agree from root 1
+            Cuboid((2, 2), (1, 2, 3, 4)),
+            # one entry, not 0
+            Cuboid((1, 1), (5,)),
         ],
     )
     def test_contradiction_without_check(self, M):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from addsys.core import InputError
 from addsys.factorisation import (
     JointOrderedFactorisation,
+    _divisors_ge2,
     canonicalise,
     count_jofs,
     enumerate_jofs,
@@ -12,7 +13,7 @@ from addsys.factorisation import (
     validate_jof,
 )
 from conftest import DIMS_E1, DIMS_E2, JOF_E1A, JOF_E2, JOF_TEXT_E1A
-from support import dims_vectors_up_to, oracle_count, oracle_enumerate
+from support import dims_vectors_up_to, divisors_ge2, oracle_count, oracle_enumerate
 
 
 class TestValidate:
@@ -76,6 +77,14 @@ class TestEnumerate:
     def test_each_result_validates(self):
         for jof in enumerate_jofs((8, 4, 2)):
             assert validate_jof(jof.steps, jof.dims).passed
+
+    def test_divisors_match_trial_division(self):
+        for n in [*range(1, 2000), 3600, 65536, 1009 * 1013]:
+            assert _divisors_ge2(n) == divisors_ge2(n), n
+
+    def test_large_prime_dims(self):
+        assert _divisors_ge2(10000019) == (10000019,)
+        assert count_jofs((10000019, 10000019)) == 2
 
 
 class TestCount:
