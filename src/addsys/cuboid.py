@@ -16,6 +16,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import compress, count
+from math import prod
 from typing import Sequence
 
 from .core import (
@@ -30,7 +31,7 @@ from .core import (
     ensure_int64,
 )
 from .factorisation import JointOrderedFactorisation, _require_buildable, _walk_stages
-from .sumsystem import _certificate_first, _walk_stop, verify_sum_system
+from .sumsystem import _certificate_first, _walk_stop, build_sum_system, verify_sum_system
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,7 @@ class Cuboid:
         object.__setattr__(self, "entries", tuple(self.entries))
         if not self.dims or any(n < 1 for n in self.dims):
             raise InputError(f"dims must be positive, got {list(self.dims)}")
-        total = 1
-        for n in self.dims:
-            total *= n
+        total = prod(self.dims)
         if len(self.entries) != total:
             raise InputError(
                 f"entry count {len(self.entries)} does not match dims product {total}"
@@ -151,17 +150,12 @@ def building_op(j: int, k: int, M: Cuboid) -> Cuboid:
 
 
 def build_cuboid(jof: JointOrderedFactorisation, cap: int = DEFAULT_CAP) -> Cuboid:
-    """Run the building-operator chain of a joint ordered factorisation."""
+    """The building chain's cuboid: the outer sums of the JOF's sum system."""
     _require_buildable(jof)
-    total = 1
-    for n in jof.dims:
-        total *= n
-    if total > cap:
+    total = prod(jof.dims)
+    if total > cap:  # before any part is built
         raise CapExceededError(f"cuboid would hold {total} entries, cap is {cap}")
-    M = trivial_cuboid(len(jof.dims))
-    for j, f in jof.steps:
-        M = building_op(j, f, M)
-    return M
+    return cuboid_from_sumsystem(build_sum_system(jof), cap=cap, check=False)
 
 
 def _axes(M: Cuboid) -> list[tuple[int, ...]]:

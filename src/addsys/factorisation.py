@@ -219,8 +219,15 @@ def _walk_stages(axes: Sequence[Sequence[int]], dims: Sequence[int]) -> JointOrd
     value below x_e, and the other sums are at least z.  So z < x_e, or
     z = x_e from both sources, is the witness.  If z > x_e, c(x_e) = 0
     and the witness is the first known sum above x_e if it is below z,
-    else z.  If z = x_e from one source, or that search passes sum(dims)
-    values, the error carries no witness.
+    else z; with t = 0 there is none, so z at once.  If z = x_e from one
+    source, or that search passes sum(dims) values, there is no witness.
+
+    A completed walk's steps are a JOF of ``dims`` as they stand.  A
+    stage closes only where another direction's next value is smaller,
+    and a tie raises, so the next stage never extends the same direction.
+    The copy check makes each cursor a whole multiple of its base, so
+    every factor is at least 2.  Every axis is consumed, so the factors
+    of each direction multiply to its dimension.
     """
     m = len(dims)
     consumed = [1] * m
@@ -260,7 +267,7 @@ def _walk_stages(axes: Sequence[Sequence[int]], dims: Sequence[int]) -> JointOrd
         consumed[j] = cursor
         product *= factor
         steps.append((j + 1, factor))
-    return canonicalise(steps, dims)
+    return JointOrderedFactorisation(tuple(steps), tuple(dims))
 
 
 def _copy_witness(
@@ -271,6 +278,8 @@ def _copy_witness(
     z = min((x for x in (found, fence) if x is not None), default=None)
     if z is not None and z <= expected:
         return z if z < expected or found == fence else None
+    if t == 0:
+        return z
     product = prod(f for _, f in steps)
     top = (l + 1) * product if z is None else min(z, (l + 1) * product)
     for w in range(expected + 1, min(top, expected + 1 + budget)):

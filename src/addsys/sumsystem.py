@@ -52,13 +52,10 @@ def build_sum_system(jof: JointOrderedFactorisation) -> SumSystem:
 
 
 #: The certificate answers first only when prod(dims) is at least this
-#: many times sum(dims).  On a 2-vCPU Xeon (Python 3.11.7) the stage walk
-#: costs 1.4-4.4 us per part element on dims such as (2, 148), (4, 4, 3)
-#: and (12, 10, 8), where its fixed cost per stage dominates, and 0.3 us
-#: on (512, 512); the ordered scan costs 0.14-0.41 us per sum.  So at
-#: this ratio a failing system pays about a quarter, at most a half, of
-#: its scan again for the walk, while below it the walk can cost as much
-#: as the scan it precedes.
+#: many times sum(dims).  Below it the walk's fixed cost per stage
+#: outweighs the scan's cost per sum: on the 4,353 valid systems with
+#: product <= 48, the walk takes about 30 us per system and the scan
+#: about 20 us (2-vCPU Xeon, Python 3.11.7).
 _CERTIFICATE_RATIO = 64
 
 

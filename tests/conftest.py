@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 # Example family 1: dims (15, 8, 6), two factorisations, same target 0..719.
@@ -86,6 +89,13 @@ JOF_TEXT_E1B = "1:5,3:3,2:2,3:2,2:2,1:3,2:2"
 JOF_TEXT_E2 = "1:2,3:3,2:2,3:2,2:2,1:7,2:2"
 JOF_TEXT_E3 = "1:5,2:7,3:3,1:3,3:3"
 JOF_TEXT_E4 = "1:7,2:4,5:2,3:2,4:2,2:5,4:9,3:3,1:4,5:3,3:5,5:2"
+
+
+def src_env() -> dict[str, str]:
+    """The environment for a child interpreter that imports this checkout's addsys."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, inherited)))}
 
 
 def pytest_terminal_summary(terminalreporter):

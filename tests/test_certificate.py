@@ -21,7 +21,13 @@ from addsys.cuboid import (
     decompose_cuboid,
     verify_reversible,
 )
-from addsys.factorisation import JointOrderedFactorisation, enumerate_jofs
+from addsys.factorisation import (
+    JointOrderedFactorisation,
+    _walk_stages,
+    canonicalise,
+    enumerate_jofs,
+    validate_jof,
+)
 from addsys.sds import (
     INCLUSIVE,
     SdsSystem,
@@ -152,10 +158,28 @@ RULE_BRANCHES = {
     # 120 moved to 294: the next known sum, 144, lies more than
     # sum(dims) = 15 values above 120, so the search gives up: silent
     "silent-search-budget": (((0, 1), (0, 24, 96, 294), (0, 2, 4, 6), (0, 8, 16), (0, 48)), None),
+    # 24 starts copy 2 of part 2 but 168 stands there: no known sum lies
+    # above 24, so 168 is the witness however far it is
+    "copy-start-far": (((0, 2), (0, 12, 168), (0, 4, 8), (0, 1)), 168),
 }
 
 #: A silent system above the ratio: the "silent" parts, then base-2 parts.
 SILENT_ABOVE_RATIO = ((0, 1, 4, 6), (0, 2, 5, 7), *((0, 2**k) for k in range(4, 11)))
+
+
+def assert_named_without_scan(parts, monkeypatch):
+    """The public verdicts on ``parts`` equal the scan's, with the scan refused."""
+    ss = SumSystem(tuple(tuple(p) for p in parts))
+    expected = _scan_sum_system(ss)
+
+    def refuse(*args):
+        raise AssertionError("the ordered scan ran")
+
+    monkeypatch.setattr(addsys.sumsystem, "_scan_sum_system", refuse)
+    assert verify_sum_system(ss) == expected
+    with pytest.raises(VerificationFailedError) as failed:
+        decompose_sum_system(ss)
+    assert failed.value.report == expected
 
 
 class TestSumSystem:
@@ -165,6 +189,10 @@ class TestSumSystem:
         verdict = _scan_sum_system(ss).passed
         assert (_walk_stop(ss.parts, ss.dims) is None) == verdict
         assert polynomial_check(ss).passed == verdict
+        if verdict:
+            walked = _walk_stages(ss.parts, ss.dims)
+            assert validate_jof(walked.steps, walked.dims).passed
+            assert canonicalise(walked.steps, walked.dims) == walked
 
     @given(maybe_mutated(large_ratio_jofs()))
     @settings(max_examples=60, deadline=None)
@@ -215,17 +243,13 @@ class TestSumSystem:
     def test_large_reject_without_scan(self, monkeypatch):
         parts = [list(p) for p in E4_PARTS]
         parts[4][6] += 1
-        ss = SumSystem(tuple(tuple(p) for p in parts))
-        expected = _scan_sum_system(ss)
+        assert_named_without_scan(parts, monkeypatch)
 
-        def refuse(*args):
-            raise AssertionError("the ordered scan ran")
-
-        monkeypatch.setattr(addsys.sumsystem, "_scan_sum_system", refuse)
-        assert verify_sum_system(ss) == expected
-        with pytest.raises(VerificationFailedError) as failed:
-            decompose_sum_system(ss)
-        assert failed.value.report == expected
+    def test_copy_start_reject_without_scan(self, monkeypatch):
+        # 4480 starts a copy of part 4; 4590 lies far above it
+        parts = [list(p) for p in E4_PARTS]
+        parts[3][8] = 4590
+        assert_named_without_scan(parts, monkeypatch)
 
 
 @st.composite

@@ -15,6 +15,7 @@ from conftest import (
     E2_SDS_PARTS,
     JOF_TEXT_E1A,
     JOF_TEXT_E2,
+    src_env,
 )
 
 
@@ -283,6 +284,7 @@ class TestContract:
             [sys.executable, "-m", "addsys", "jof", "enumerate", "--dims", "2,2", "--count-only"],
             capture_output=True,
             text=True,
+            env=src_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout == '{"count":2}\n'

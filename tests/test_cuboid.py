@@ -353,11 +353,20 @@ class TestDecompose:
         assert decompose_cuboid(M).steps == JOF_E4
 
 
+def building_chain(jof_: JointOrderedFactorisation) -> Cuboid:
+    """The paper's construction: building operators from the trivial cuboid."""
+    M = trivial_cuboid(len(jof_.dims))
+    for j, f in jof_.steps:
+        M = building_op(j, f, M)
+    return M
+
+
 class TestRoundTripSweep:
     def test_exhaustive_small(self):
         for _, dims in dims_vectors_up_to(72):
             for jof_ in enumerate_jofs(dims):
                 M = build_cuboid(jof_)
+                assert M == building_chain(jof_), jof_.steps
                 assert verify_reversible(M).passed, jof_.steps
                 assert brute_force_line_reversal(M), jof_.steps
                 assert axis_sets(M, check=False).parts == build_sum_system(jof_).parts
