@@ -6,15 +6,25 @@ pattern from the two parts of a sum-and-distance system and adding the
 weight (n^2 + 1) / 2, which recentres the entries onto 1 .. n^2.  The
 weight is a half-integer for even n, so matrices are stored in doubled
 units throughout and halved exactly on output.
+
+Everything works a row at a time: builders emit whole rows, grids are
+validated by whole-grid passes, and ``verify_square`` compares rows.
+Failures are named as the ordered per-entry scan names them: a failing
+grid pass reruns that scan, and a failing row is searched for its
+first mismatching column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import add
 from typing import Sequence
 
 from .core import (
     DEFAULT_CAP,
+    INT64_MAX,
+    INT64_MIN,
     InputError,
     VerificationReport,
     _require_passed,
@@ -36,22 +46,24 @@ class SquareMatrix:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InputError(f"side length must be >= 1, got {self.n}")
+        # Tuple rows: row comparisons need them, and the square hashes.
+        object.__setattr__(self, "doubled", tuple(map(tuple, self.doubled)))
         if len(self.doubled) != self.n or any(len(r) != self.n for r in self.doubled):
             raise InputError(f"need a {self.n} x {self.n} entry grid")
-        parity = None
-        for row in self.doubled:
-            for x in row:
+        flat = list(chain.from_iterable(self.doubled))
+        if set(map(type, flat)) != {int} or min(flat) < INT64_MIN or (
+            max(flat) > INT64_MAX or len({x & 1 for x in flat}) != 1
+        ):
+            for x in flat:  # name the first offender, row-major
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise InputError(f"entries must be integers, got {x!r}")
                 ensure_int64(x, "doubled entry")
-                if parity is None:
-                    parity = x % 2
-                elif x % 2 != parity:
+                if (x - flat[0]) % 2:
                     raise InputError("doubled entries must share parity")
 
     @staticmethod
     def from_plain(rows: Sequence[Sequence[int]]) -> "SquareMatrix":
-        grid = tuple(tuple(2 * x for x in row) for row in rows)
+        grid = tuple([2 * x for x in row] for row in rows)
         return SquareMatrix(len(grid), grid)
 
     def plain_rows(self) -> list[list[int]]:
@@ -74,16 +86,23 @@ def _paired_parts(
     return first, second
 
 
-def _assemble(n: int, doubled_weightless) -> SquareMatrix:
-    # Adding the doubled weight n^2 + 1 must land on even values; the
-    # halved matrix is then exactly integral.
-    weight2 = n * n + 1
-    grid = tuple(
-        tuple(doubled_weightless(i, j) + weight2 for j in range(n)) for i in range(n)
-    )
-    if any(x % 2 for row in grid for x in row):
+def _assemble(n: int, rows) -> SquareMatrix:
+    # Entries share a parity (SquareMatrix checks that once), so one
+    # corner decides whether the halved matrix is integral.
+    M = SquareMatrix(n, rows)
+    if M.doubled[0][0] % 2:
         raise InputError("weighted entries do not halve exactly; invalid inputs")
-    return SquareMatrix(n, grid)
+    return M
+
+
+def _signed_axis(part: tuple[int, ...], centre: bool = False) -> tuple[int, ...]:
+    """The reversed part, then a 0 if ``centre``, then the part negated."""
+    return (*part[::-1], *(0,) * centre, *(-x for x in part))
+
+
+def _rank_two_rows(signs, scales, col_a, col_b, weight2):
+    """Rows ``weight2 + s_i * col_a + c_i * col_b``."""
+    return ([weight2 + s * a + c * y for a, y in zip(col_a, col_b)] for s, c in zip(signs, scales))
 
 
 def reversible_square_even(
@@ -93,17 +112,15 @@ def reversible_square_even(
 
     The weightless form is separable: twice the entry at (I, J) is
     alpha_J + beta_I where alpha runs through the reversed first part
-    and then its negative, beta likewise for the second part.  Entries
-    are exactly 1 .. n^2 when the pair is a valid system.
+    and then its negative, beta likewise for the second part, so row I
+    is alpha + (beta_I + n^2 + 1).  Entries are exactly 1 .. n^2 when
+    the pair is a valid system.
     """
     first, second = _paired_parts(a, b, NON_INCLUSIVE, cap)
-    nu = len(first)
-    n = 2 * nu
-
-    def signed(part: tuple[int, ...], k: int) -> int:
-        return part[nu - 1 - k] if k < nu else -part[k - nu]
-
-    return _assemble(n, lambda i, j: signed(first, j) + signed(second, i))
+    n = 2 * len(first)
+    alpha = _signed_axis(first)
+    shifts = [c + n * n + 1 for c in _signed_axis(second)]
+    return _assemble(n, ([x + c for x in alpha] for c in shifts))
 
 
 def reversible_square_odd(
@@ -111,21 +128,14 @@ def reversible_square_odd(
 ) -> SquareMatrix:
     """Side 2*len(a) + 1 reversible square from an inclusive pair.
 
-    Same separable pattern with a zero row and column through the
-    centre; the centre entry is always the weight (n^2 + 1) / 2.
+    Same separable pattern, doubled, with a zero row and column
+    through the centre; the centre entry is always (n^2 + 1) / 2.
     """
     first, second = _paired_parts(a, b, INCLUSIVE, cap)
-    nu = len(first)
-    n = 2 * nu + 1
-
-    def signed(part: tuple[int, ...], k: int) -> int:
-        if k < nu:
-            return part[nu - 1 - k]
-        if k == nu:
-            return 0
-        return -part[k - nu - 1]
-
-    return _assemble(n, lambda i, j: 2 * (signed(first, j) + signed(second, i)))
+    n = 2 * len(first) + 1
+    alpha = [2 * x for x in _signed_axis(first, centre=True)]
+    shifts = [2 * c + n * n + 1 for c in _signed_axis(second, centre=True)]
+    return _assemble(n, ([x + c for x in alpha] for c in shifts))
 
 
 def _sign_vector(signs: Sequence[int] | None, nu: int, label: str) -> tuple[int, ...]:
@@ -152,29 +162,18 @@ def associated_magic_square(
 
     ``v`` and ``w`` are zero-sum sign vectors (alternating by default)
     that scramble the rank-one block pattern without disturbing the row
-    and column sums.  Requires even part size.
+    and column sums.  Requires even part size.  With alpha and beta as
+    for reversible squares, s = v + v[::-1] and W = w + w[::-1], row I
+    is (s_I alpha + n^2 + 1) + beta_I W.
     """
     first, second = _paired_parts(a, b, NON_INCLUSIVE, cap)
     nu = len(first)
     if nu % 2:
         raise InputError(f"part size must be even, got {nu}")
-    vs = _sign_vector(v, nu, "v")
-    ws = _sign_vector(w, nu, "w")
+    vs, ws = _sign_vector(v, nu, "v"), _sign_vector(w, nu, "w")
     n = 2 * nu
-
-    def weightless2(i: int, j: int) -> int:
-        if i < nu and j < nu:
-            return first[nu - 1 - j] * vs[i] + second[nu - 1 - i] * ws[j]
-        if i < nu:
-            jj = j - nu
-            return -first[jj] * vs[i] + second[nu - 1 - i] * ws[nu - 1 - jj]
-        ii = i - nu
-        if j < nu:
-            return first[nu - 1 - j] * vs[nu - 1 - ii] - second[ii] * ws[j]
-        jj = j - nu
-        return -first[jj] * vs[nu - 1 - ii] - second[ii] * ws[nu - 1 - jj]
-
-    return _assemble(n, weightless2)
+    alpha, beta = _signed_axis(first), _signed_axis(second)
+    return _assemble(n, _rank_two_rows(vs + vs[::-1], beta, alpha, ws + ws[::-1], n * n + 1))
 
 
 def most_perfect_square(
@@ -186,109 +185,114 @@ def most_perfect_square(
     weightless entries are half-integers; doubled units absorb that
     exactly.  Every toroidal 2 x 2 block of the result sums to
     2 * (n^2 + 1) and diagonal entries half the side apart pair to
-    n^2 + 1.
+    n^2 + 1.  With sigma = (1, -1, ..) of length n, r = a2 + (-a2)
+    and Q = b2 + (-b2), row I is r_I sigma + (sigma_I Q + n^2 + 1).
     """
     first, second = _paired_parts(a2, b2, NON_INCLUSIVE, cap)
     nu = len(first)
     if nu % 2:
         raise InputError(f"part size must be even, got {nu}")
     n = 2 * nu
-
-    def sigma(k: int) -> int:
-        return 1 if k % 2 == 0 else -1
-
-    def weightless2(i: int, j: int) -> int:
-        row_sign = 1 if i < nu else -1
-        col_sign = 1 if j < nu else -1
-        ii, jj = i % nu, j % nu
-        return row_sign * first[ii] * sigma(jj) + col_sign * sigma(ii) * second[jj]
-
-    return _assemble(n, weightless2)
+    sigma, r = (1, -1) * nu, first + tuple(-x for x in first)
+    q = second + tuple(-x for x in second)
+    return _assemble(n, _rank_two_rows(sigma, r, q, sigma, n * n + 1))
 
 
-def _entry_set_check(M: SquareMatrix) -> VerificationReport | None:
-    n = M.n
-    if M.doubled[0][0] % 2:
-        # Half-integer entries cannot form 1 .. n^2; witness in doubled units.
-        return VerificationReport.fail("entry-set", witness=M.doubled[0][0])
+def _entry_set_witness(M: SquareMatrix) -> int | None:
+    n, d = M.n, M.doubled
+    if d[0][0] % 2:
+        return d[0][0]  # half-integers cannot form 1 .. n^2; doubled units
+    # All entries share the corner's parity, so they are even: n^2
+    # distinct even values in 2 .. 2n^2 are exactly 2, 4, .., 2n^2.
+    flat = list(chain.from_iterable(d))
+    if min(flat) >= 2 and max(flat) <= 2 * n * n and len(set(flat)) == n * n:
+        return None
     seen = bytearray(n * n + 1)
-    for row in M.doubled:
-        for x in row:
-            value = x // 2
-            if not (1 <= value <= n * n) or seen[value]:
-                return VerificationReport.fail("entry-set", witness=value)
-            seen[value] = 1
+    for value in (x // 2 for x in flat):
+        if not (1 <= value <= n * n) or seen[value]:
+            return value
+        seen[value] = 1
     return None
+
+
+def _first_mismatch(rows, wants) -> list[int] | None:
+    """1-based [row, column] of the first row-major entry where the tuple
+    rows differ from the tuples ``wants`` (built lazily), else None."""
+    for i, (row, want) in enumerate(zip(rows, wants)):
+        if row != want:
+            j = next(j for j, (x, y) in enumerate(zip(row, want)) if x != y)
+            return [i + 1, j + 1]
+    return None
+
+
+def _first_unreversed(line: Sequence[int]) -> int | None:
+    """First k with line[k] + line[-1-k] != line[0] + line[-1], else None."""
+    sums = map(add, line, reversed(line))
+    return next((k for k, s in enumerate(sums) if s != line[0] + line[-1]), None)
 
 
 def verify_square(M: SquareMatrix, kind: str) -> VerificationReport:
     """Check every clause of the named family; entry set 1 .. n^2 always.
 
-    Most perfect reports carry a note naming the toroidal block
-    convention used for the 2 x 2 sums.
+    The report is the ordered per-entry scan's: the first violated
+    clause and its first offender, row-major.  Most perfect reports
+    carry a note naming the toroidal block convention.  Row and column
+    sums use ``sum`` on the rows and ``zip(*d)``; vertex sums,
+    associated pairs, 2 x 2 blocks (via adjacent-entry sums) and
+    diagonal pairs compare each row with a vector from its partner row.
+
+    Line reversal is O(n).  The vertex sums hold by then, so d[I][J] =
+    T[J] + C[I] - d00 (top row T, first column C, d00 = d[0][0]).  Row
+    I reverses at J when d[I][J] + d[I][n-1-J] = d[I][0] + d[I][n-1];
+    2 C[I] - 2 d00 cancels, leaving T[J] + T[n-1-J] = T[0] + T[n-1],
+    the same for every I.  Likewise column J reverses at I when C[I] +
+    C[n-1-I] = C[0] + C[n-1], the same for every J and true at I = 0.
+    So the first failure, row-major, is (1, J+1) for the first J where
+    T fails, or else (I+1, 1) for the first I where C fails.
     """
     if kind not in KINDS:
         raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
-    n = M.n
-    d = M.doubled
+    n, d = M.n, M.doubled
     note = "toroidal-2x2-blocks" if kind == "most-perfect" else None
-    bad = _entry_set_check(M)
-    if bad is not None:
-        return VerificationReport.fail(bad.violated_invariant, bad.witness, note=note)
+
+    def fail(invariant: str, witness) -> VerificationReport:
+        return VerificationReport.fail(invariant, witness, note=note)
+
+    witness = _entry_set_witness(M)
+    if witness is not None:
+        return fail("entry-set", witness)
     if kind == "reversible":
-        for i in range(n):
-            for j in range(n):
-                if d[i][j] - d[0][j] - d[i][0] + d[0][0] != 0:
-                    return VerificationReport.fail("vertex-sums", witness=[i + 1, j + 1])
-        for i in range(n):
-            for j in range(n):
-                if d[i][j] + d[i][n - 1 - j] != d[i][0] + d[i][n - 1]:
-                    return VerificationReport.fail(
-                        "line-reversal", witness={"row": i + 1, "column": j + 1}
-                    )
-                if d[i][j] + d[n - 1 - i][j] != d[0][j] + d[n - 1][j]:
-                    return VerificationReport.fail(
-                        "line-reversal", witness={"row": i + 1, "column": j + 1}
-                    )
+        top, corner = d[0], d[0][0]
+        at = _first_mismatch(d, (tuple([t + (r[0] - corner) for t in top]) for r in d))
+        if at is not None:
+            return fail("vertex-sums", at)
+        j = _first_unreversed(top)
+        i = _first_unreversed([row[0] for row in d]) if j is None else 0
+        if i is not None:
+            return fail("line-reversal", {"row": i + 1, "column": (j or 0) + 1})
         return VerificationReport.ok()
-    line_sum = n * (n * n + 1)
-    for i in range(n):
-        if sum(d[i]) != line_sum:
-            return VerificationReport.fail("row-sum", witness=i + 1, note=note)
-    for j in range(n):
-        if sum(d[i][j] for i in range(n)) != line_sum:
-            return VerificationReport.fail("column-sum", witness=j + 1, note=note)
+    for invariant, lines in (("row-sum", d), ("column-sum", zip(*d))):
+        for k, line in enumerate(lines):
+            if sum(line) != n * (n * n + 1):
+                return fail(invariant, k + 1)
+    pair_sum = 2 * (n * n + 1)
     if kind == "associated":
-        for i in range(n):
-            for j in range(n):
-                if d[i][j] + d[n - 1 - i][n - 1 - j] != 2 * (n * n + 1):
-                    return VerificationReport.fail(
-                        "associated-pairs", witness=[i + 1, j + 1]
-                    )
-        return VerificationReport.ok()
+        wants = (tuple([pair_sum - x for x in reversed(r)]) for r in reversed(d))
+        at = _first_mismatch(d, wants)
+        return fail("associated-pairs", at) if at else VerificationReport.ok()
     if n % 2:
-        return VerificationReport.fail("even-order", witness=n, note=note)
-    block_sum = 4 * (n * n + 1)
-    for i in range(n):
-        for j in range(n):
-            total = (
-                d[i][j]
-                + d[i][(j + 1) % n]
-                + d[(i + 1) % n][j]
-                + d[(i + 1) % n][(j + 1) % n]
-            )
-            if total != block_sum:
-                return VerificationReport.fail(
-                    "block-sums", witness=[i + 1, j + 1], note=note
-                )
-    half = n // 2
-    for i in range(n):
-        for j in range(n):
-            if d[i][j] + d[(i + half) % n][(j + half) % n] != 2 * (n * n + 1):
-                return VerificationReport.fail(
-                    "diagonal-pairs", witness=[i + 1, j + 1], note=note
-                )
-    return VerificationReport.ok(note=note)
+        return fail("even-order", n)
+    # Block (I, J) is right when the sum of row I's entries at J and
+    # J + 1 complements that of row I + 1.
+    adjacent = [tuple(map(add, r, r[1:] + r[:1])) for r in d]
+    wants = (tuple([2 * pair_sum - x for x in p]) for p in adjacent[1:] + adjacent[:1])
+    at = _first_mismatch(adjacent, wants)
+    if at is not None:
+        return fail("block-sums", at)
+    h = n // 2
+    wants = (tuple([pair_sum - x for x in r[h:] + r[:h]]) for r in d[h:] + d[:h])
+    at = _first_mismatch(d, wants)
+    return fail("diagonal-pairs", at) if at else VerificationReport.ok(note=note)
 
 
 def to_json_doc(M: SquareMatrix) -> dict:
@@ -305,11 +309,15 @@ def from_json_doc(doc: object) -> SquareMatrix:
     rows = doc["entries"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InputError("'entries' must be a list of rows")
-    for row in rows:
-        for x in row:
+    flat = list(chain.from_iterable(rows))
+    if not set(map(type, flat)) <= {int}:
+        for x in flat:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise InputError(f"entries must be integers, got {x!r}")
     M = SquareMatrix.from_plain(rows)
-    if M.n != doc["n"]:
-        raise InputError(f"'n' is {doc['n']} but the grid is {M.n} x {M.n}")
+    n = doc["n"]
+    if M.n != n:
+        raise InputError(f"'n' is {n} but the grid is {M.n} x {M.n}")
+    if type(n) is not int:
+        raise InputError(f"'n' must be an integer, got {n!r}")
     return M

@@ -155,3 +155,112 @@ def grid_diagonal_pairs_ok(rows) -> bool:
         rows[i][j] + rows[(i + half) % n][(j + half) % n] == n * n + 1
         for i in range(n) for j in range(n)
     )
+
+
+def reference_square(family: str, first, second, v=None, w=None):
+    """Doubled rows of a square family, one entry formula at a time.
+
+    ``family`` is "reversible-even", "reversible-odd", "associated" or
+    "most-perfect"; the parts are taken as a valid pair of equal size.
+    ``v`` and ``w`` are the associated square's sign vectors, alternating
+    by default.
+    """
+    nu = len(first)
+    n = 2 * nu + (family == "reversible-odd")
+
+    def signed(part, k):
+        if k < nu:
+            return part[nu - 1 - k]
+        if n % 2 and k == nu:
+            return 0
+        return -part[k - nu - n % 2]
+
+    def sigma(k):
+        return 1 if k % 2 == 0 else -1
+
+    vs = tuple(v) if v is not None else tuple(sigma(k) for k in range(nu))
+    ws = tuple(w) if w is not None else tuple(sigma(k) for k in range(nu))
+
+    def entry(i, j):
+        if family == "reversible-even":
+            return signed(first, j) + signed(second, i)
+        if family == "reversible-odd":
+            return 2 * (signed(first, j) + signed(second, i))
+        if family == "associated":
+            if i < nu and j < nu:
+                return first[nu - 1 - j] * vs[i] + second[nu - 1 - i] * ws[j]
+            if i < nu:
+                jj = j - nu
+                return -first[jj] * vs[i] + second[nu - 1 - i] * ws[nu - 1 - jj]
+            ii = i - nu
+            if j < nu:
+                return first[nu - 1 - j] * vs[nu - 1 - ii] - second[ii] * ws[j]
+            jj = j - nu
+            return -first[jj] * vs[nu - 1 - ii] - second[ii] * ws[nu - 1 - jj]
+        row_sign = 1 if i < nu else -1
+        col_sign = 1 if j < nu else -1
+        ii, jj = i % nu, j % nu
+        return row_sign * first[ii] * sigma(jj) + col_sign * sigma(ii) * second[jj]
+
+    return tuple(tuple(entry(i, j) + n * n + 1 for j in range(n)) for i in range(n))
+
+
+def square_scan_report(d, kind: str):
+    """(violated invariant, witness, note) of the ordered per-entry scan.
+
+    ``d`` holds the doubled rows of a square whose entries share a
+    parity.  Every clause is checked entry by entry in row-major order;
+    a passing square gives (None, None, note).
+    """
+    n = len(d)
+    note = "toroidal-2x2-blocks" if kind == "most-perfect" else None
+    if d[0][0] % 2:
+        return "entry-set", d[0][0], note
+    seen = set()
+    for row in d:
+        for x in row:
+            value = x // 2
+            if not (1 <= value <= n * n) or value in seen:
+                return "entry-set", value, note
+            seen.add(value)
+    if kind == "reversible":
+        for i in range(n):
+            for j in range(n):
+                if d[i][j] - d[0][j] - d[i][0] + d[0][0] != 0:
+                    return "vertex-sums", [i + 1, j + 1], note
+        for i in range(n):
+            for j in range(n):
+                if (
+                    d[i][j] + d[i][n - 1 - j] != d[i][0] + d[i][n - 1]
+                    or d[i][j] + d[n - 1 - i][j] != d[0][j] + d[n - 1][j]
+                ):
+                    return "line-reversal", {"row": i + 1, "column": j + 1}, note
+        return None, None, note
+    line_sum = n * (n * n + 1)
+    for i in range(n):
+        if sum(d[i]) != line_sum:
+            return "row-sum", i + 1, note
+    for j in range(n):
+        if sum(d[i][j] for i in range(n)) != line_sum:
+            return "column-sum", j + 1, note
+    if kind == "associated":
+        for i in range(n):
+            for j in range(n):
+                if d[i][j] + d[n - 1 - i][n - 1 - j] != 2 * (n * n + 1):
+                    return "associated-pairs", [i + 1, j + 1], note
+        return None, None, note
+    if n % 2:
+        return "even-order", n, note
+    for i in range(n):
+        for j in range(n):
+            total = (
+                d[i][j] + d[i][(j + 1) % n] + d[(i + 1) % n][j] + d[(i + 1) % n][(j + 1) % n]
+            )
+            if total != 4 * (n * n + 1):
+                return "block-sums", [i + 1, j + 1], note
+    half = n // 2
+    for i in range(n):
+        for j in range(n):
+            if d[i][j] + d[(i + half) % n][(j + half) % n] != 2 * (n * n + 1):
+                return "diagonal-pairs", [i + 1, j + 1], note
+    return None, None, note

@@ -265,6 +265,15 @@ class TestSquare:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("payload", ['{"n":true,"entries":[[1]]}', '{"n":1.0,"entries":[[1]]}'])
+    def test_verify_rejects_a_non_integer_side(self, capsys, payload):
+        code, out, err = run_cli(
+            capsys, "square", "verify", "--kind", "reversible", "-", stdin=payload
+        )
+        assert code == 2
+        assert out == ""
+        assert "'n' must be an integer" in err
+
 
 class TestContract:
     def test_unknown_subcommand(self, capsys):

@@ -1,9 +1,13 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from addsys.core import InputError, VerificationFailedError
 from addsys.factorisation import enumerate_jofs
 from addsys.sds import sumsys_to_sds_noninclusive, sumsys_to_sds_inclusive
 from addsys.squares import (
+    KINDS,
     SquareMatrix,
     associated_magic_square,
     from_json_doc,
@@ -22,6 +26,8 @@ from support import (
     grid_magic_ok,
     grid_reversal_ok,
     grid_vertex_ok,
+    reference_square,
+    square_scan_report,
 )
 
 REV_4 = [[16, 15, 8, 7], [14, 13, 6, 5], [12, 11, 4, 3], [10, 9, 2, 1]]
@@ -218,3 +224,112 @@ class TestSquareMatrixType:
             from_json_doc({"n": 2, "entries": [[1, 2]]})
         with pytest.raises(InputError):
             from_json_doc({"n": 1, "entries": [[1.5]]})
+
+    def test_json_names_the_first_non_integer_undoubled(self):
+        with pytest.raises(InputError, match=r"entries must be integers, got True$"):
+            from_json_doc({"n": 2, "entries": [[1, 2], [True, 4.5]]})
+
+    @pytest.mark.parametrize("n", [True, 1.0, "1"])
+    def test_json_side_must_be_an_integer(self, n):
+        with pytest.raises(InputError, match="'n'"):
+            from_json_doc({"n": n, "entries": [[1]]})
+
+    def test_grid_rows_are_frozen(self):
+        # A list-built square equals and hashes like its tuple-built twin.
+        listed = SquareMatrix(2, [[2, 4], [6, 8]])
+        assert listed == SquareMatrix(2, ((2, 4), (6, 8)))
+        assert hash(listed) == hash(SquareMatrix(2, ((2, 4), (6, 8))))
+        assert all(type(row) is tuple for row in listed.doubled)
+
+    def test_first_offender_named_in_row_major_order(self):
+        with pytest.raises(InputError, match="parity"):
+            SquareMatrix(2, ((2, 3), (4.0, 6)))
+        with pytest.raises(InputError, match=r"got 4\.0"):
+            SquareMatrix(2, ((2, 4), (4.0, 7)))
+
+
+#: Library builder and side lengths for each family; associated and
+#: most perfect squares need an even part size.
+FAMILIES = {
+    "reversible-even": (reversible_square_even, (2, 4, 6, 8, 10, 12, 14, 16)),
+    "reversible-odd": (reversible_square_odd, (3, 5, 7, 9, 11, 13, 15)),
+    "associated": (associated_magic_square, (4, 8, 12, 16)),
+    "most-perfect": (most_perfect_square, (4, 8, 12, 16)),
+}
+
+
+@lru_cache(maxsize=None)
+def derived_parts(side, flavour):
+    return tuple(system.parts for system in derived_sds_systems(side, flavour))
+
+
+def draw_square(data):
+    """A library square of a drawn family, with its reference rows."""
+    family = data.draw(st.sampled_from(sorted(FAMILIES)))
+    build, sides = FAMILIES[family]
+    side = data.draw(st.sampled_from(sides))
+    flavour = "inclusive" if family == "reversible-odd" else "non-inclusive"
+    first, second = data.draw(st.sampled_from(derived_parts(side, flavour)))
+    signs = ()
+    if family == "associated":
+        half = (1, -1) * (len(first) // 2)
+        signs = (data.draw(st.permutations(half)), data.draw(st.permutations(half)))
+    return build(first, second, *signs), reference_square(family, first, second, *signs)
+
+
+def mutate(data, rows):
+    n = len(rows)
+    rows = [list(row) for row in rows]
+    i, j, k, l = (data.draw(st.integers(0, n - 1)) for _ in range(4))
+    how = data.draw(st.sampled_from(["swap", "bump", "duplicate", "row swap", "column swap"]))
+    if how == "swap":
+        rows[i][j], rows[k][l] = rows[k][l], rows[i][j]
+    elif how == "bump":
+        rows[i][j] += data.draw(st.sampled_from((-1, 1)))
+    elif how == "duplicate":
+        rows[i][j] = rows[k][l]
+    elif how == "row swap":
+        rows[i], rows[k] = rows[k], rows[i]
+    else:
+        for row in rows:
+            row[j], row[l] = row[l], row[j]
+    return rows
+
+
+class TestAgainstEntryFormulas:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_builds_match_the_entry_formulas(self, data):
+        square, reference = draw_square(data)
+        assert square.doubled == reference
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mutated_squares_report_like_the_ordered_scan(self, data):
+        square, _ = draw_square(data)
+        mutated = SquareMatrix.from_plain(mutate(data, square.plain_rows()))
+        for kind in KINDS:
+            report = verify_square(mutated, kind)
+            got = (report.violated_invariant, report.witness, report.note)
+            assert got == square_scan_report(mutated.doubled, kind), kind
+
+    def test_column_swap_fails_reversal_in_the_top_row(self):
+        swapped = SquareMatrix.from_plain([[r[1], r[0]] + r[2:] for r in REV_4])
+        report = verify_square(swapped, "reversible")
+        assert report.violated_invariant == "line-reversal"
+        assert report.witness == {"row": 1, "column": 2}
+        assert square_scan_report(swapped.doubled, "reversible")[1] == report.witness
+
+    def test_row_swap_fails_reversal_in_the_first_column(self):
+        swapped = SquareMatrix.from_plain([REV_4[1], REV_4[0]] + REV_4[2:])
+        report = verify_square(swapped, "reversible")
+        assert report.violated_invariant == "line-reversal"
+        assert report.witness == {"row": 2, "column": 1}
+        assert square_scan_report(swapped.doubled, "reversible")[1] == report.witness
+
+    def test_odd_magic_square_fails_most_perfect_on_order(self):
+        lo_shu = SquareMatrix.from_plain([[2, 7, 6], [9, 5, 1], [4, 3, 8]])
+        report = verify_square(lo_shu, "most-perfect")
+        assert (report.violated_invariant, report.witness) == ("even-order", 3)
+        assert report.note == "toroidal-2x2-blocks"
+        assert verify_square(lo_shu, "associated").passed
