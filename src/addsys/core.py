@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, count
-from operator import ne
+from math import prod
+from operator import lt, ne
 from typing import Any, Iterable, Sequence
 
 INT64_MIN = -(2**63)
@@ -142,6 +143,37 @@ def progression_set(p: Progression) -> tuple[int, ...]:
     return tuple(range(p.start, p.start + p.step * p.count, p.step))
 
 
+def _are_ints(values: Sequence[Any], lo: int = INT64_MIN) -> bool:
+    """Is every value an ``int``, never a ``bool`` or other subclass, in
+    lo .. INT64_MAX?  True when empty; whole-sequence passes, no copy."""
+    return not values or (
+        set(map(type, values)) == {int} and lo <= min(values) and max(values) <= INT64_MAX
+    )
+
+
+def _require_ints(values: Sequence[Any], rule: str, lo: int = INT64_MIN) -> None:
+    """The integer gate: unless ``_are_ints``, name the first offender in
+    order, by InputError for a non-integer or a value below ``lo`` and
+    Int64OverflowError outside signed 64 bits; ``rule`` opens the message."""
+    if _are_ints(values, lo):
+        return
+    for x in values:
+        if type(x) is not int or (lo > INT64_MIN and x < lo):
+            raise InputError(f"{rule}, got {x!r}")
+        if not INT64_MIN <= x <= INT64_MAX:
+            raise Int64OverflowError(f"{rule} within signed 64 bits, got {x}")
+
+
+def _document(doc: object, kind: str, *keys: str) -> list[Any]:
+    """The values at ``keys`` of a JSON object, the preamble of every reader."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{kind} document must be a JSON object")
+    missing = set(keys) - doc.keys()
+    if missing:
+        raise InputError(f"{kind} document lacks {sorted(missing)}")
+    return [doc[key] for key in keys]
+
+
 def as_component_set(
     elements: Iterable[int],
     *,
@@ -158,13 +190,10 @@ def as_component_set(
     out = tuple(elements)
     if not out:
         raise InputError(f"{context} is empty")
-    for x in out:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise InputError(f"{context} contains non-integer {x!r}")
-        ensure_int64(x, context)
-    for a, b in zip(out, out[1:]):
-        if a >= b:
-            raise InputError(f"{context} is not strictly increasing at {a}, {b}")
+    _require_ints(out, f"{context} must hold integers")
+    if not all(map(lt, out, out[1:])):
+        a, b = next((a, b) for a, b in zip(out, out[1:]) if a >= b)
+        raise InputError(f"{context} is not strictly increasing at {a}, {b}")
     if out[0] < 0:
         raise InputError(f"{context} contains negative element {out[0]}")
     if require_zero_start and out[0] != 0:
@@ -203,10 +232,7 @@ class SumSystem:
 
     @property
     def target_size(self) -> int:
-        n = 1
-        for p in self.parts:
-            n *= len(p)
-        return n
+        return prod(map(len, self.parts))
 
 
 def minkowski_sum(

@@ -14,12 +14,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, count
+from itertools import chain, compress, count
 from math import isqrt, prod
 from operator import ne
 from typing import Iterator, Sequence
 
-from .core import InputError, InternalContradictionError, VerificationReport
+from .core import InputError, InternalContradictionError, VerificationReport, _are_ints
 
 Step = tuple[int, int]
 
@@ -57,13 +57,15 @@ def validate_jof(steps: Sequence[Step], dims: Sequence[int]) -> VerificationRepo
     can surface them verbatim.
     """
     dims = tuple(dims)
-    if not dims or any(n < 1 for n in dims):
+    # One gate pass over every value; only a failure is located.
+    ints = _are_ints((*dims, *chain.from_iterable(steps)), lo=1)
+    if not dims or not (ints or _are_ints(dims, lo=1)):
         return VerificationReport.fail("dims-range", witness=list(dims))
     m = len(dims)
     for l, (j, f) in enumerate(steps, start=1):
-        if not (1 <= j <= m):
+        if not (ints or _are_ints((j,))) or not 1 <= j <= m:
             return VerificationReport.fail("direction-range", witness=l)
-        if f < 2:
+        if not (ints or _are_ints((f,))) or f < 2:
             return VerificationReport.fail("factor-range", witness=l)
     for l in range(1, len(steps)):
         if steps[l][0] == steps[l - 1][0]:
@@ -99,9 +101,8 @@ def _require_enumerable(dims: Sequence[int]) -> tuple[int, ...]:
     dims = tuple(dims)
     if not dims:
         raise InputError("dims vector is empty")
-    for n in dims:
-        if n < 2:
-            raise InputError(f"dims must all be >= 2, got {list(dims)}")
+    if not _are_ints(dims, lo=2):
+        raise InputError(f"dims must all be integers >= 2, got {list(dims)}")
     return dims
 
 
@@ -117,11 +118,9 @@ def enumerate_jofs(dims: Sequence[int]) -> Iterator[JointOrderedFactorisation]:
     steps: list[Step] = []
 
     def walk(last: int) -> Iterator[JointOrderedFactorisation]:
-        live = False
         for j in range(m):
             if j == last or quotients[j] == 1:
                 continue
-            live = True
             q = quotients[j]
             for f in _divisors_ge2(q):
                 steps.append((j + 1, f))
@@ -129,7 +128,7 @@ def enumerate_jofs(dims: Sequence[int]) -> Iterator[JointOrderedFactorisation]:
                 yield from walk(j)
                 quotients[j] = q
                 steps.pop()
-        if not live and all(q == 1 for q in quotients):
+        if all(q == 1 for q in quotients):
             yield JointOrderedFactorisation(tuple(steps), dims)
 
     # A finished sequence can never be extended (all quotients are 1), so

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from math import prod
 
 from .core import (
     DEFAULT_CAP,
@@ -23,6 +24,7 @@ from .core import (
     Progression,
     SumSystem,
     VerificationReport,
+    _document,
     _require_passed,
     _require_sum_bounds,
     as_component_set,
@@ -60,21 +62,15 @@ class SdsSystem:
 
 
 def _signed(part: tuple[int, ...], with_zero: bool) -> list[int]:
-    mirrored = [-x for x in reversed(part)]
-    if with_zero:
-        return mirrored + [0] + list(part)
-    return mirrored + list(part)
+    """The part mirrored about 0, ascending; reversed, a square's signed axis."""
+    return [-x for x in reversed(part)] + [0] * with_zero + list(part)
 
 
 def _target(s: SdsSystem) -> Progression:
     if s.flavour == NON_INCLUSIVE:
-        total = 1
-        for n in s.sizes:
-            total *= 2 * n
+        total = prod(2 * n for n in s.sizes)
         return Progression(start=1 - total, step=2, count=total)
-    total = 1
-    for n in s.sizes:
-        total *= 2 * n + 1
+    total = prod(2 * n + 1 for n in s.sizes)
     return Progression(start=-(total - 1) // 2, step=1, count=total)
 
 
@@ -146,11 +142,6 @@ def _checked_sds(s: SdsSystem, flavour: str, cap: int, check: bool) -> None:
         _require_passed(verify_sds(s, cap=cap), f"{flavour} system")
 
 
-def _checked_sumsys(ss: SumSystem, cap: int, check: bool) -> None:
-    if check:
-        _require_passed(verify_sum_system(ss, cap=cap), "sum system")
-
-
 def sds_to_sumsys_noninclusive(
     s: SdsSystem, cap: int = DEFAULT_CAP, check: bool = True
 ) -> SumSystem:
@@ -185,7 +176,8 @@ def sumsys_to_sds_noninclusive(
                 f"part {i + 1} has odd cardinality {len(part)};"
                 " non-inclusive conversion needs all parts even"
             )
-    _checked_sumsys(ss, cap, check)
+    if check:
+        _require_passed(verify_sum_system(ss, cap=cap), "sum system")
     parts = []
     for part in ss.parts:
         half = len(part) // 2
@@ -219,7 +211,8 @@ def sumsys_to_sds_inclusive(
                 f"part {i + 1} has even cardinality {len(part)};"
                 " inclusive conversion needs all parts odd"
             )
-    _checked_sumsys(ss, cap, check)
+    if check:
+        _require_passed(verify_sum_system(ss, cap=cap), "sum system")
     parts = []
     for i, part in enumerate(ss.parts):
         half = len(part) // 2
@@ -254,12 +247,7 @@ def to_json_doc(s: SdsSystem) -> dict:
 
 def from_json_doc(doc: object) -> SdsSystem:
     """Parse ``{"flavour": "inclusive"|"non-inclusive", "parts": [[...], ...]}``."""
-    if not isinstance(doc, dict):
-        raise InputError("sum-and-distance document must be a JSON object")
-    missing = {"flavour", "parts"} - doc.keys()
-    if missing:
-        raise InputError(f"sum-and-distance document lacks {sorted(missing)}")
-    parts = doc["parts"]
-    if not isinstance(parts, list) or not all(isinstance(p, list) for p in parts):
+    flavour, parts = _document(doc, "sum-and-distance", "flavour", "parts")
+    if not isinstance(parts, list) or not set(map(type, parts)) <= {list}:
         raise InputError("'parts' must be a list of lists")
-    return SdsSystem(tuple(tuple(p) for p in parts), doc["flavour"])
+    return SdsSystem(tuple(tuple(p) for p in parts), flavour)

@@ -23,15 +23,15 @@ from typing import Sequence
 
 from .core import (
     DEFAULT_CAP,
-    INT64_MAX,
-    INT64_MIN,
     InputError,
     VerificationReport,
+    _are_ints,
+    _document,
+    _require_ints,
     _require_passed,
-    as_component_set,
     ensure_int64,
 )
-from .sds import INCLUSIVE, NON_INCLUSIVE, SdsSystem, verify_sds
+from .sds import INCLUSIVE, NON_INCLUSIVE, SdsSystem, _signed, verify_sds
 
 KINDS = ("reversible", "associated", "most-perfect")
 
@@ -44,18 +44,18 @@ class SquareMatrix:
     doubled: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InputError(f"side length must be >= 1, got {self.n}")
+        if not _are_ints((self.n,), lo=1):
+            raise InputError(f"side length must be a positive integer, got {self.n!r}")
         # Tuple rows: row comparisons need them, and the square hashes.
         object.__setattr__(self, "doubled", tuple(map(tuple, self.doubled)))
         if len(self.doubled) != self.n or any(len(r) != self.n for r in self.doubled):
             raise InputError(f"need a {self.n} x {self.n} entry grid")
         flat = list(chain.from_iterable(self.doubled))
-        if set(map(type, flat)) != {int} or min(flat) < INT64_MIN or (
-            max(flat) > INT64_MAX or len({x & 1 for x in flat}) != 1
-        ):
-            for x in flat:  # name the first offender, row-major
-                if not isinstance(x, int) or isinstance(x, bool):
+        if not _are_ints(flat) or len({x & 1 for x in flat}) != 1:
+            # Not ``core._require_ints``: the first offender, row-major,
+            # may break the type, the range or the shared parity.
+            for x in flat:
+                if type(x) is not int:
                     raise InputError(f"entries must be integers, got {x!r}")
                 ensure_int64(x, "doubled entry")
                 if (x - flat[0]) % 2:
@@ -63,8 +63,10 @@ class SquareMatrix:
 
     @staticmethod
     def from_plain(rows: Sequence[Sequence[int]]) -> "SquareMatrix":
-        grid = tuple([2 * x for x in row] for row in rows)
-        return SquareMatrix(len(grid), grid)
+        """The square of plain integer rows; a non-integer is named as given."""
+        for row in rows:
+            _require_ints(row, "entries must be integers")
+        return SquareMatrix(len(rows), [[2 * x for x in row] for row in rows])
 
     def plain_rows(self) -> list[list[int]]:
         if self.doubled and self.doubled[0][0] % 2:
@@ -75,13 +77,12 @@ class SquareMatrix:
 def _paired_parts(
     a: Sequence[int], b: Sequence[int], flavour: str, cap: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    first = as_component_set(a, require_positive=True, context="first part")
-    second = as_component_set(b, require_positive=True, context="second part")
+    system = SdsSystem((a, b), flavour)
+    first, second = system.parts
     if len(first) != len(second):
         raise InputError(
             f"parts must have equal size, got {len(first)} and {len(second)}"
         )
-    system = SdsSystem((first, second), flavour)
     _require_passed(verify_sds(system, cap=cap), f"{flavour} pair")
     return first, second
 
@@ -93,11 +94,6 @@ def _assemble(n: int, rows) -> SquareMatrix:
     if M.doubled[0][0] % 2:
         raise InputError("weighted entries do not halve exactly; invalid inputs")
     return M
-
-
-def _signed_axis(part: tuple[int, ...], centre: bool = False) -> tuple[int, ...]:
-    """The reversed part, then a 0 if ``centre``, then the part negated."""
-    return (*part[::-1], *(0,) * centre, *(-x for x in part))
 
 
 def _rank_two_rows(signs, scales, col_a, col_b, weight2):
@@ -118,8 +114,8 @@ def reversible_square_even(
     """
     first, second = _paired_parts(a, b, NON_INCLUSIVE, cap)
     n = 2 * len(first)
-    alpha = _signed_axis(first)
-    shifts = [c + n * n + 1 for c in _signed_axis(second)]
+    alpha = _signed(first, False)[::-1]
+    shifts = [c + n * n + 1 for c in _signed(second, False)[::-1]]
     return _assemble(n, ([x + c for x in alpha] for c in shifts))
 
 
@@ -133,8 +129,8 @@ def reversible_square_odd(
     """
     first, second = _paired_parts(a, b, INCLUSIVE, cap)
     n = 2 * len(first) + 1
-    alpha = [2 * x for x in _signed_axis(first, centre=True)]
-    shifts = [2 * c + n * n + 1 for c in _signed_axis(second, centre=True)]
+    alpha = [2 * x for x in _signed(first, True)[::-1]]
+    shifts = [2 * c + n * n + 1 for c in _signed(second, True)[::-1]]
     return _assemble(n, ([x + c for x in alpha] for c in shifts))
 
 
@@ -144,7 +140,7 @@ def _sign_vector(signs: Sequence[int] | None, nu: int, label: str) -> tuple[int,
     out = tuple(signs)
     if len(out) != nu:
         raise InputError(f"{label} must have length {nu}, got {len(out)}")
-    if any(s not in (1, -1) for s in out):
+    if not _are_ints(out) or any(s not in (1, -1) for s in out):
         raise InputError(f"{label} entries must be +1 or -1")
     if sum(out) != 0:
         raise InputError(f"{label} must sum to 0")
@@ -172,7 +168,7 @@ def associated_magic_square(
         raise InputError(f"part size must be even, got {nu}")
     vs, ws = _sign_vector(v, nu, "v"), _sign_vector(w, nu, "w")
     n = 2 * nu
-    alpha, beta = _signed_axis(first), _signed_axis(second)
+    alpha, beta = _signed(first, False)[::-1], _signed(second, False)[::-1]
     return _assemble(n, _rank_two_rows(vs + vs[::-1], beta, alpha, ws + ws[::-1], n * n + 1))
 
 
@@ -301,23 +297,11 @@ def to_json_doc(M: SquareMatrix) -> dict:
 
 def from_json_doc(doc: object) -> SquareMatrix:
     """Parse ``{"n": n, "entries": [[row], ...]}`` in plain integers."""
-    if not isinstance(doc, dict):
-        raise InputError("square document must be a JSON object")
-    missing = {"n", "entries"} - doc.keys()
-    if missing:
-        raise InputError(f"square document lacks {sorted(missing)}")
-    rows = doc["entries"]
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+    n, rows = _document(doc, "square", "n", "entries")
+    if not isinstance(rows, list) or not set(map(type, rows)) <= {list}:
         raise InputError("'entries' must be a list of rows")
-    flat = list(chain.from_iterable(rows))
-    if not set(map(type, flat)) <= {int}:
-        for x in flat:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise InputError(f"entries must be integers, got {x!r}")
     M = SquareMatrix.from_plain(rows)
-    n = doc["n"]
     if M.n != n:
         raise InputError(f"'n' is {n} but the grid is {M.n} x {M.n}")
-    if type(n) is not int:
-        raise InputError(f"'n' must be an integer, got {n!r}")
+    _require_ints((n,), "'n' must be an integer")
     return M

@@ -22,6 +22,8 @@ from .core import (
     InternalContradictionError,
     SumSystem,
     VerificationReport,
+    _are_ints,
+    _document,
     _require_passed,
     _require_sum_bounds,
     as_component_set,
@@ -206,16 +208,10 @@ def from_json_doc(doc: object) -> SumSystem:
     ``dims`` repeats the part sizes; the redundancy is deliberate and a
     mismatch is rejected.
     """
-    if not isinstance(doc, dict):
-        raise InputError("sum system document must be a JSON object")
-    missing = {"parts", "dims"} - doc.keys()
-    if missing:
-        raise InputError(f"sum system document lacks {sorted(missing)}")
-    parts = doc["parts"]
-    dims = doc["dims"]
-    if not isinstance(parts, list) or not all(isinstance(p, list) for p in parts):
+    parts, dims = _document(doc, "sum system", "parts", "dims")
+    if not isinstance(parts, list) or not set(map(type, parts)) <= {list}:
         raise InputError("'parts' must be a list of lists")
     ss = SumSystem(tuple(tuple(p) for p in parts))
-    if not isinstance(dims, list) or tuple(dims) != ss.dims:
+    if not isinstance(dims, list) or not _are_ints(dims) or tuple(dims) != ss.dims:
         raise InputError(f"'dims' {dims} do not match part sizes {list(ss.dims)}")
     return ss

@@ -264,3 +264,65 @@ def square_scan_report(d, kind: str):
             if d[i][j] + d[(i + half) % n][(j + half) % n] != 2 * (n * n + 1):
                 return "diagonal-pairs", [i + 1, j + 1], note
     return None, None, note
+
+
+# Per-element integer loops, one value at a time, as the entry points ran
+# them before they shared one gate.  Each returns None when the input is
+# accepted, (exception name, offending value) when a value is at fault,
+# and (exception name,) for a fault of shape or order.  Int subclasses,
+# bool and IntEnum alike, are refused everywhere: the component-set, weight
+# and cuboid-entry loops once let an IntEnum through ``isinstance``.
+INT64 = range(-(2**63), 2**63)
+
+
+def component_set_reference(elements):
+    """``as_component_set``: integers in int64, then strictly increasing from >= 0."""
+    out = tuple(elements)
+    if not out:
+        return ("InputError",)
+    for x in out:
+        if type(x) is not int:
+            return "InputError", x
+        if x not in INT64:
+            return "Int64OverflowError", x
+    if any(a >= b for a, b in zip(out, out[1:])) or out[0] < 0:
+        return ("InputError",)
+    return None
+
+
+def non_negative_reference(values):
+    """``kron_dir`` weights and ``cuboid.from_json_doc`` entries (on dims
+    ``[len(values)]``): non-empty, non-negative integers inside int64.
+
+    The weight loop once left int64 to the largest scaled entry; each
+    weight is now checked in its place, so with a largest entry of 1 a
+    weight above int64 is named there, not after a later non-integer.
+    """
+    for x in values:
+        if type(x) is not int or x < 0:
+            return "InputError", x
+        if x not in INT64:
+            return "Int64OverflowError", x
+    return None if values else ("InputError",)
+
+
+def plain_grid_reference(rows):
+    """``SquareMatrix.from_plain``: the row-major loop of ``SquareMatrix``.
+
+    It runs on the caller's values first, so a non-integer is named as
+    given and not doubled, then checks the shape, then the doubled values
+    against int64.  Parity needs no check: doubled values are even.
+    """
+    for row in rows:
+        for x in row:
+            if type(x) is not int:
+                return "InputError", x
+            if x not in INT64:
+                return "Int64OverflowError", x
+    if not rows or any(len(row) != len(rows) for row in rows):
+        return ("InputError",)
+    for row in rows:
+        for x in row:
+            if 2 * x not in INT64:
+                return "Int64OverflowError", 2 * x
+    return None

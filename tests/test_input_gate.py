@@ -1,0 +1,153 @@
+"""Hostile values at every public entry point reach a documented error.
+
+Every integer input passes one gate (``core._require_ints``); the
+property test holds it to the per-element loops in ``support``.
+"""
+
+import io
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from enum import IntEnum
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from addsys.cli import main
+from addsys.core import InputError, Int64OverflowError, as_component_set
+from addsys.cuboid import (
+    Cuboid,
+    build_cuboid,
+    building_op,
+    from_json_doc,
+    kron_dir,
+    trivial_cuboid,
+    verify_reversible,
+)
+from addsys.factorisation import (
+    JointOrderedFactorisation,
+    count_jofs,
+    enumerate_jofs,
+    validate_jof,
+)
+from addsys.squares import SquareMatrix, associated_magic_square
+from addsys.sumsystem import build_sum_system
+from support import component_set_reference, non_negative_reference, plain_grid_reference
+
+
+def _cli(stdin: str, *argv: str) -> int:
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
+            redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+
+def _magic(v):
+    return associated_magic_square((1, 3), (4, 12), v=v)
+
+
+#: Each row: a call with a hostile value, then either the documented
+#: error it must raise and a pattern its message must match, or the
+#: value the call must return.
+HOSTILE = {
+    "square side True": (lambda: SquareMatrix(True, ((2,),)), InputError, "side length"),
+    "square side float": (lambda: SquareMatrix(1.0, ((2,),)), InputError, "side length"),
+    "magic v float": (lambda: _magic((1.0, -1.0)), InputError, "^v entries"),
+    "magic v bool": (lambda: _magic((True, -1)), InputError, "^v entries"),
+    "cuboid dims bool": (lambda: verify_reversible(Cuboid((True, 2), (0, 1))), InputError, "dims"),
+    "cuboid dims float": (lambda: verify_reversible(Cuboid((2.0,), (0, 1))), InputError, "dims"),
+    "trivial_cuboid float order": (lambda: trivial_cuboid(1.5), InputError, "order"),
+    "building_op float copies": (
+        lambda: building_op(1, 2.0, trivial_cuboid(1)), InputError, "copy count",
+    ),
+    "kron_dir float direction": (
+        lambda: kron_dir((1, 2), 1.0, trivial_cuboid(1)), InputError, "direction",
+    ),
+    "jof float dims": (
+        lambda: validate_jof(((1, 2.5),), (2.5,)).violated_invariant, None, "dims-range",
+    ),
+    "jof float factor": (
+        lambda: validate_jof(((1, 2.0),), (2,)).violated_invariant, None, "factor-range",
+    ),
+    "jof float direction": (
+        lambda: validate_jof(((1.0, 2),), (2,)).violated_invariant, None, "direction-range",
+    ),
+    "build_sum_system float factor": (
+        lambda: build_sum_system(JointOrderedFactorisation(((1, 2.0),), (2,))),
+        InputError, "factor-range",
+    ),
+    "build_cuboid float dims": (
+        lambda: build_cuboid(JointOrderedFactorisation(((1, 2.0),), (2.0,))),
+        InputError, "dims-range",
+    ),
+    "enumerate_jofs float dims": (lambda: list(enumerate_jofs((2.0, 3))), InputError, "dims"),
+    "count_jofs float dims": (lambda: count_jofs((2.0, 3)), InputError, "dims"),
+    "cli sumsys float dims": (
+        lambda: _cli('{"dims":[2.0,2.0],"parts":[[0,1],[0,2]]}', "sumsys", "verify", "-"),
+        None, 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, expected", HOSTILE.values(), ids=list(HOSTILE))
+def test_hostile_values_reach_documented_errors(call, error, expected):
+    if error is None:
+        assert call() == expected
+    else:
+        with pytest.raises(error, match=expected):
+            call()
+
+
+class Colour(IntEnum):
+    RED = 1
+
+
+EDGES = (2**63 - 1, 2**63, -(2**63), -(2**63) - 1)
+VALUES = st.one_of(
+    st.lists(
+        st.one_of(
+            st.integers(-(2**64), 2**64),
+            st.sampled_from(EDGES),
+            st.booleans(),
+            st.floats(),
+            st.text(max_size=2),
+            st.none(),
+            st.just(Colour.RED),
+        ),
+        max_size=6,
+    ),
+    st.lists(st.integers(0, 2**64), unique=True, max_size=6).map(sorted),
+)
+
+#: Entry point on a list of values, and its per-element reference.
+GATED = {
+    "as_component_set": (as_component_set, component_set_reference),
+    "kron_dir weights": (lambda v: kron_dir(v, 1, Cuboid((2,), (0, 1))), non_negative_reference),
+    "cuboid.from_json_doc entries": (
+        lambda v: from_json_doc({"dims": [len(v)], "entries": v}), non_negative_reference,
+    ),
+    "SquareMatrix.from_plain": (
+        lambda v: SquareMatrix.from_plain([v]), lambda v: plain_grid_reference([v]),
+    ),
+}
+
+
+def _names(exc: Exception, value) -> bool:
+    text = str(exc)
+    return text.endswith(f"got {value!r}") or text.startswith(f"doubled entry {value} ")
+
+
+@pytest.mark.parametrize("name", list(GATED))
+@given(values=VALUES)
+@settings(max_examples=300, deadline=None)
+def test_gate_agrees_with_the_per_element_loops(name, values):
+    call, reference = GATED[name]
+    expected = reference(values)
+    try:
+        call(values)
+    except (InputError, Int64OverflowError) as exc:
+        assert expected is not None, f"rejected: {exc}"
+        assert type(exc).__name__ == expected[0], exc
+        if len(expected) == 2:
+            assert _names(exc, expected[1]), exc
+    else:
+        assert expected is None

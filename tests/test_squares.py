@@ -229,6 +229,14 @@ class TestSquareMatrixType:
         with pytest.raises(InputError, match=r"entries must be integers, got True$"):
             from_json_doc({"n": 2, "entries": [[1, 2], [True, 4.5]]})
 
+    @pytest.mark.parametrize(
+        "rows, named",
+        [([["a"]], r"got 'a'$"), ([[1.5]], r"got 1\.5$"), ([[True]], r"got True$")],
+    )
+    def test_from_plain_names_the_value_as_given(self, rows, named):
+        with pytest.raises(InputError, match=named):
+            SquareMatrix.from_plain(rows)
+
     @pytest.mark.parametrize("n", [True, 1.0, "1"])
     def test_json_side_must_be_an_integer(self, n):
         with pytest.raises(InputError, match="'n'"):
