@@ -27,8 +27,9 @@ from .core import (
     InternalContradictionError,
     VerificationFailedError,
     VerificationReport,
+    _require_cap,
 )
-from .factorisation import count_jofs, enumerate_jofs, parse_jof
+from .factorisation import _require_enumerable, count_jofs, enumerate_jofs, parse_jof
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -60,9 +61,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         dims = tuple(int(piece) for piece in text.split(","))
     except ValueError:
         raise InputError(f"malformed dims {text!r}, expected comma-separated integers") from None
-    if not dims:
-        raise InputError("dims list is empty")
-    return dims
+    return _require_enumerable(dims)
 
 
 def _parse_signs(text: str, label: str) -> tuple[int, ...]:
@@ -81,6 +80,7 @@ def _emit_report(report: VerificationReport) -> int:
 def _cmd_jof_enumerate(args: argparse.Namespace) -> int:
     dims = _parse_dims(args.dims)
     if args.count_only:
+        _require_cap(math.prod(dims), "sums per factorisation", args.max_product)
         print(canonical_json({"count": count_jofs(dims)}))
         return EXIT_OK
     total = count_jofs(dims)
@@ -88,10 +88,7 @@ def _cmd_jof_enumerate(args: argparse.Namespace) -> int:
         if args.limit < 0:
             raise InputError(f"--limit must be >= 0, got {args.limit}")
         total = min(total, args.limit)
-    if total > args.max_product:
-        raise CapExceededError(
-            f"listing would hold {total} factorisations, cap is {args.max_product}"
-        )
+    _require_cap(total, "listed factorisations", args.max_product)
     jofs = [jof.as_text() for jof in islice(enumerate_jofs(dims), total)]
     print(canonical_json({"dims": list(dims), "jofs": jofs}))
     return EXIT_OK
@@ -99,9 +96,7 @@ def _cmd_jof_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_sumsys_from_jof(args: argparse.Namespace) -> int:
     jof = parse_jof(args.jof)
-    total = math.prod(jof.dims)
-    if total > args.max_product:
-        raise CapExceededError(f"sum system would cover {total} sums, cap is {args.max_product}")
+    _require_cap(math.prod(jof.dims), "sums", args.max_product)
     ss = sumsys_mod.build_sum_system(jof)
     print(canonical_json(sumsys_mod.to_json_doc(ss)))
     return EXIT_OK
@@ -212,7 +207,7 @@ def _cmd_square_mostperfect(args: argparse.Namespace) -> int:
 
 
 def _cmd_square_verify(args: argparse.Namespace) -> int:
-    square = squares_mod.from_json_doc(_load_json(args.source))
+    square = squares_mod.from_json_doc(_load_json(args.source), cap=args.max_product)
     kind = "most-perfect" if args.kind == "mostperfect" else args.kind
     return _emit_report(squares_mod.verify_square(square, kind))
 
@@ -223,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-product",
         type=int,
         default=DEFAULT_CAP,
-        help="cap on materialised sums or tensor entries (default %(default)s)",
+        help="cap on the sums, entries, factorisations or cells counted (default %(default)s)",
     )
     parser = argparse.ArgumentParser(
         prog="addsys",

@@ -121,11 +121,8 @@ class Progression:
     count: int
 
     def __post_init__(self) -> None:
-        if self.step < 1:
-            raise InputError(f"progression step must be >= 1, got {self.step}")
-        if self.count < 1:
-            raise InputError(f"progression count must be >= 1, got {self.count}")
-        ensure_int64(self.start, "progression start")
+        _require_ints((self.start,), "progression start must be an integer")
+        _require_ints((self.step, self.count), "step and count must be integers >= 1", lo=1)
         ensure_int64(self.last, "progression end")
 
     @property
@@ -240,27 +237,34 @@ def minkowski_sum(
 ) -> list[int]:
     """All elementwise sums, one per index tuple, sorted, duplicates kept.
 
-    The result has exactly prod(len(s)) entries.  Raises CapExceededError
-    before materialising anything larger than ``cap`` elements, and
-    Int64OverflowError if any sum could leave 64-bit range.
+    The result has exactly prod(len(s)) entries.  Raises InputError on a
+    non-integer, CapExceededError before materialising more than ``cap``
+    elements, and Int64OverflowError if any sum could leave 64-bit range.
     """
+    for s in sets:
+        _require_ints(s, "sets must hold integers")
+    return _sorted_sums(sets, cap)
+
+
+def _sorted_sums(sets: Sequence[Sequence[int]], cap: int) -> list[int]:
+    """``minkowski_sum`` of sets already known to hold integers."""
     _require_sum_bounds(sets, cap)
     sums = _outer_sums(sets)
     sums.sort()
     return sums
 
 
+def _require_cap(count: int, what: str, cap: int) -> None:
+    """The cap gate: refuse ``count`` of ``what`` above ``cap`` before any is built."""
+    if count > cap:
+        raise CapExceededError(f"too many {what}: {count}, cap is {cap}")
+
+
 def _require_sum_bounds(sets: Sequence[Sequence[int]], cap: int) -> None:
     """The cap and int64 gates of ``minkowski_sum``, without forming any sum."""
-    total = 1
-    for s in sets:
-        if not s:
-            raise InputError("minkowski_sum requires nonempty sets")
-        total *= len(s)
-        if total > cap:
-            raise CapExceededError(
-                f"sum multiset would hold {total}+ elements, cap is {cap}"
-            )
+    if not all(sets):
+        raise InputError("minkowski_sum requires nonempty sets")
+    _require_cap(prod(map(len, sets)), "sums", cap)
     ensure_int64(sum(max(s) for s in sets), "largest sum")
     ensure_int64(sum(min(s) for s in sets), "smallest sum")
 

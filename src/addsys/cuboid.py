@@ -21,7 +21,6 @@ from typing import Sequence
 
 from .core import (
     DEFAULT_CAP,
-    CapExceededError,
     InputError,
     InternalContradictionError,
     SumSystem,
@@ -29,6 +28,7 @@ from .core import (
     _are_ints,
     _document,
     _outer_sums,
+    _require_cap,
     _require_ints,
     _require_passed,
     ensure_int64,
@@ -79,6 +79,7 @@ def strides(dims: Sequence[int]) -> tuple[int, ...]:
 
 def flat_index(dims: Sequence[int], index: Sequence[int]) -> int:
     """Flat position of a 1-based multiindex."""
+    _require_ints((*dims, *index), "dims and index must hold integers")
     if len(index) != len(dims):
         raise InputError(f"index {list(index)} has wrong length for dims {list(dims)}")
     flat = 0
@@ -153,9 +154,7 @@ def building_op(j: int, k: int, M: Cuboid) -> Cuboid:
 def build_cuboid(jof: JointOrderedFactorisation, cap: int = DEFAULT_CAP) -> Cuboid:
     """The building chain's cuboid: the outer sums of the JOF's sum system."""
     _require_buildable(jof)
-    total = prod(jof.dims)
-    if total > cap:  # before any part is built
-        raise CapExceededError(f"cuboid would hold {total} entries, cap is {cap}")
+    _require_cap(prod(jof.dims), "cuboid entries", cap)  # before any part is built
     return cuboid_from_sumsystem(build_sum_system(jof), cap=cap, check=False)
 
 
@@ -181,9 +180,7 @@ def cuboid_from_sumsystem(
     """
     if check:
         _require_passed(verify_sum_system(ss, cap=cap), "cuboid_from_sumsystem input")
-    total = ss.target_size
-    if total > cap:
-        raise CapExceededError(f"cuboid would hold {total} entries, cap is {cap}")
+    _require_cap(ss.target_size, "cuboid entries", cap)
     ensure_int64(sum(p[-1] for p in ss.parts), "largest entry")
     return Cuboid(ss.dims, tuple(_outer_sums(ss.parts)))
 
@@ -353,8 +350,7 @@ def from_json_doc(doc: object, cap: int = DEFAULT_CAP) -> Cuboid:
         raise InputError("'dims' must be a list of integers")
     if not isinstance(entries, list):
         raise InputError("'entries' must be a flat list of integers")
-    if len(entries) > cap:
-        raise CapExceededError(f"cuboid holds {len(entries)} entries, cap is {cap}")
+    _require_cap(len(entries), "cuboid entries", cap)
     _require_ints(entries, "entries must be non-negative integers", lo=0)
     return Cuboid(tuple(dims), tuple(entries))
 

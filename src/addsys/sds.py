@@ -18,18 +18,19 @@ from math import prod
 
 from .core import (
     DEFAULT_CAP,
-    CapExceededError,
     InputError,
     Int64OverflowError,
     Progression,
     SumSystem,
     VerificationReport,
     _document,
+    _require_cap,
     _require_passed,
     _require_sum_bounds,
+    _sorted_sums,
     as_component_set,
+    ensure_int64,
     is_progression,
-    minkowski_sum,
 )
 from .sumsystem import _certificate_first, _walk_stop, verify_sum_system
 
@@ -109,7 +110,7 @@ def _scan_sds(s: SdsSystem, cap: int = DEFAULT_CAP) -> VerificationReport:
     target progression.
     """
     signed_parts = [_signed(p, s.flavour == INCLUSIVE) for p in s.parts]
-    sums = minkowski_sum(signed_parts, cap=cap)
+    sums = _sorted_sums(signed_parts, cap)
     return is_progression(sums, _target(s))
 
 
@@ -125,8 +126,8 @@ def verify_sds_two_part(s: SdsSystem, cap: int = DEFAULT_CAP) -> VerificationRep
     first, second = s.parts
     singles = list(chain(first, second)) if s.flavour == INCLUSIVE else []
     count = 2 * len(first) * len(second) + len(singles)
-    if count > cap:
-        raise CapExceededError(f"two-part multiset of {count} values exceeds cap {cap}")
+    _require_cap(count, "two-part values", cap)
+    ensure_int64(first[-1] + second[-1], "largest sum")
     target = Progression(start=1, step=1 if s.flavour == INCLUSIVE else 2, count=count)
     values = [abs(a + b) for a in first for b in second]
     values += [abs(a - b) for a in first for b in second]

@@ -27,6 +27,7 @@ from .core import (
     VerificationReport,
     _are_ints,
     _document,
+    _require_cap,
     _require_ints,
     _require_passed,
     ensure_int64,
@@ -295,11 +296,12 @@ def to_json_doc(M: SquareMatrix) -> dict:
     return {"n": M.n, "entries": M.plain_rows()}
 
 
-def from_json_doc(doc: object) -> SquareMatrix:
-    """Parse ``{"n": n, "entries": [[row], ...]}`` in plain integers."""
+def from_json_doc(doc: object, cap: int = DEFAULT_CAP) -> SquareMatrix:
+    """Parse ``{"n": n, "entries": [[row], ...]}``; ``cap`` bounds its n^2 cells."""
     n, rows = _document(doc, "square", "n", "entries")
     if not isinstance(rows, list) or not set(map(type, rows)) <= {list}:
         raise InputError("'entries' must be a list of rows")
+    _require_cap(sum(map(len, rows)), "square cells", cap)
     M = SquareMatrix.from_plain(rows)
     if M.n != n:
         raise InputError(f"'n' is {n} but the grid is {M.n} x {M.n}")

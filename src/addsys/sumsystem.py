@@ -17,20 +17,21 @@ from typing import Sequence
 
 from .core import (
     DEFAULT_CAP,
-    CapExceededError,
     InputError,
     InternalContradictionError,
     SumSystem,
     VerificationReport,
     _are_ints,
     _document,
+    _require_cap,
+    _require_ints,
     _require_passed,
     _require_sum_bounds,
+    _sorted_sums,
     as_component_set,
     ensure_int64,
     first_segment,
     is_progression,
-    minkowski_sum,
 )
 from .factorisation import JointOrderedFactorisation, _require_buildable, _walk_stages
 
@@ -110,7 +111,7 @@ def verify_sum_system(ss: SumSystem, cap: int = DEFAULT_CAP) -> VerificationRepo
 
 def _scan_sum_system(ss: SumSystem, cap: int = DEFAULT_CAP) -> VerificationReport:
     """The ordered scan: sort every sum and compare with 0 .. prod(sizes) - 1."""
-    sums = minkowski_sum(ss.parts, cap=cap)
+    sums = _sorted_sums(ss.parts, cap)
     return is_progression(sums, first_segment(ss.target_size))
 
 
@@ -150,8 +151,7 @@ def polynomial_check(ss: SumSystem, cap: int = DEFAULT_CAP) -> VerificationRepor
     it is an independent oracle for verify_sum_system.
     """
     d = ss.target_size
-    if d > cap:
-        raise CapExceededError(f"product polynomial would have {d} coefficients, cap is {cap}")
+    _require_cap(d, "polynomial coefficients", cap)
     # Coefficients are non-negative and sum to d, so if any differs from
     # the target one below x^d does; dropping exponents >= d keeps every
     # buffer within d entries and leaves the lower coefficients exact.
@@ -190,6 +190,7 @@ def decompose_sum_system(
 
 def base_q_system(q: int, m: int) -> SumSystem:
     """The positional base-q system: digits scaled by powers of q."""
+    _require_ints((q, m), "q and m must be integers")
     if q < 2 or m < 1:
         raise InputError(f"need q >= 2 and m >= 1, got q={q}, m={m}")
     ensure_int64(q**m - 1, "largest representable value")

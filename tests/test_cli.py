@@ -48,11 +48,13 @@ class TestJof:
         assert doc["jofs"] == ["1:2,2:2,1:2", "1:4,2:2"]
 
     def test_max_product_caps_listing(self, capsys):
-        # dims (4, 2) have 3 factorisations
+        # dims (4, 2) have 3 factorisations; --count-only caps the dims product
         argv = ["jof", "enumerate", "--dims", "4,2", "--max-product", "2"]
         assert run_cli(capsys, *argv)[0] == 3
         assert run_cli(capsys, *argv, "--limit", "2")[0] == 0
-        assert run_cli(capsys, *argv, "--count-only")[0] == 0
+        assert run_cli(capsys, *argv, "--count-only")[0] == 3
+        assert run_cli(capsys, "jof", "enumerate", "--dims", "4,2", "--count-only",
+                       "--max-product", "8")[0] == 0
 
     def test_negative_limit(self, capsys):
         code, out, err = run_cli(capsys, "jof", "enumerate", "--dims", "4,2", "--limit", "-1")
@@ -297,6 +299,45 @@ class TestContract:
         )
         assert proc.returncode == 0
         assert proc.stdout == '{"count":2}\n'
+
+
+SUMSYS_DOC = '{"dims":[2,2],"parts":[[0,1],[0,2]]}'
+SDS_DOC = '{"flavour":"non-inclusive","parts":[[7,9],[2,6]]}'
+CUBOID_DOC = '{"dims":[2,2],"entries":[0,1,2,3]}'
+
+#: Every subcommand form on a small valid input (argv, stdin).
+CAPPED_FORMS = {
+    "jof enumerate": (["jof", "enumerate", "--dims", "2,2"], None),
+    "jof enumerate --count-only": (["jof", "enumerate", "--dims", "2,2", "--count-only"], None),
+    "sumsys from-jof": (["sumsys", "from-jof", "1:2,2:2"], None),
+    "sumsys verify": (["sumsys", "verify", "-"], SUMSYS_DOC),
+    "sumsys decompose": (["sumsys", "decompose", "-"], SUMSYS_DOC),
+    "sds from-sumsys": (["sds", "from-sumsys", "-"], SUMSYS_DOC),
+    "sds to-sumsys": (["sds", "to-sumsys", "-"], SDS_DOC),
+    "sds verify": (["sds", "verify", "-"], SDS_DOC),
+    "cuboid build": (["cuboid", "build", "--jof", "1:2,2:2"], None),
+    "cuboid verify": (["cuboid", "verify", "-"], CUBOID_DOC),
+    "cuboid decompose": (["cuboid", "decompose", "-"], CUBOID_DOC),
+    "square reversible": (["square", "reversible", "--sds", "-"], SDS_DOC),
+    "square magic": (["square", "magic", "--sds", "-"], SDS_DOC),
+    "square mostperfect": (["square", "mostperfect", "--sds", "-"], SDS_DOC),
+    "square verify reversible": (
+        ["square", "verify", "--kind", "reversible", "-"], '{"n":2,"entries":[[1,2],[3,4]]}',
+    ),
+    "square verify associated": (
+        ["square", "verify", "--kind", "associated", "-"],
+        '{"n":3,"entries":[[2,7,6],[9,5,1],[4,3,8]]}',
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, stdin", CAPPED_FORMS.values(), ids=list(CAPPED_FORMS))
+def test_max_product_applies_to_every_subcommand(capsys, argv, stdin):
+    assert run_cli(capsys, *argv, stdin=stdin)[0] == 0
+    code, out, err = run_cli(capsys, *argv, "--max-product", "1", stdin=stdin)
+    assert code == 3
+    assert out == ""
+    assert "cap is 1" in err
 
 
 #: Every command that reads a JSON document, without its source argument.

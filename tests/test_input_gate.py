@@ -14,11 +14,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from addsys.cli import main
-from addsys.core import InputError, Int64OverflowError, as_component_set
+from addsys.core import (
+    InputError,
+    Int64OverflowError,
+    Progression,
+    as_component_set,
+    minkowski_sum,
+)
 from addsys.cuboid import (
     Cuboid,
     build_cuboid,
     building_op,
+    flat_index,
     from_json_doc,
     kron_dir,
     trivial_cuboid,
@@ -31,7 +38,7 @@ from addsys.factorisation import (
     validate_jof,
 )
 from addsys.squares import SquareMatrix, associated_magic_square
-from addsys.sumsystem import build_sum_system
+from addsys.sumsystem import base_q_system, build_sum_system
 from support import component_set_reference, non_negative_reference, plain_grid_reference
 
 
@@ -81,6 +88,10 @@ HOSTILE = {
     ),
     "enumerate_jofs float dims": (lambda: list(enumerate_jofs((2.0, 3))), InputError, "dims"),
     "count_jofs float dims": (lambda: count_jofs((2.0, 3)), InputError, "dims"),
+    "minkowski_sum float": (lambda: minkowski_sum([[0.5, 1]]), InputError, "integers"),
+    "Progression float start": (lambda: Progression(0.5, 1, 2), InputError, "start"),
+    "flat_index float index": (lambda: flat_index((2, 2), (1.5, 1)), InputError, "index"),
+    "base_q_system float q": (lambda: base_q_system(2.0, 2), InputError, "integers"),
     "cli sumsys float dims": (
         lambda: _cli('{"dims":[2.0,2.0],"parts":[[0,1],[0,2]]}', "sumsys", "verify", "-"),
         None, 2,

@@ -1,7 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from addsys.core import CapExceededError, InputError, SumSystem, VerificationFailedError
+from addsys.core import (
+    CapExceededError,
+    InputError,
+    Int64OverflowError,
+    SumSystem,
+    VerificationFailedError,
+)
 from addsys.factorisation import JointOrderedFactorisation, enumerate_jofs
 from addsys.sds import (
     INCLUSIVE,
@@ -87,6 +93,16 @@ class TestTwoPartForm:
                 else:
                     continue
                 assert verify_sds(system).passed == verify_sds_two_part(system).passed
+
+    @pytest.mark.parametrize(
+        "system",
+        [ni((2**62 + 1,), (2**62 + 3,)), inc((1, 2**62 + 1), (2, 2**62 + 3))],
+        ids=["non-inclusive", "inclusive"],
+    )
+    def test_int64_edge_agrees_with_general_form(self, system):
+        for verify in (verify_sds, verify_sds_two_part):
+            with pytest.raises(Int64OverflowError, match="largest sum"):
+                verify(system)
 
     @given(
         st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True),
