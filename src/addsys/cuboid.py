@@ -94,6 +94,9 @@ def flat_index(dims: Sequence[int], index: Sequence[int]) -> int:
 
 def multi_index(dims: Sequence[int], flat: int) -> tuple[int, ...]:
     """1-based multiindex of a flat position."""
+    _require_ints((*dims, flat), "dims and flat position must hold integers")
+    if not 0 <= flat < prod(dims):
+        raise InputError(f"flat position {flat} outside 0..{prod(dims) - 1}")
     out = []
     for n in dims:
         flat, k = divmod(flat, n)

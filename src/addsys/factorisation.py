@@ -301,7 +301,8 @@ def format_jof(steps: Sequence[Step]) -> str:
 def parse_jof(text: str) -> JointOrderedFactorisation:
     """Parse the CLI text syntax; dims are inferred from the steps.
 
-    The number of directions is the largest direction index mentioned.
+    The number of directions is the largest direction index mentioned,
+    which may not exceed the number of steps.
     """
     body = text.strip()
     if not body:
@@ -315,10 +316,13 @@ def parse_jof(text: str) -> JointOrderedFactorisation:
         except ValueError:
             raise InputError(f"malformed step {part!r}, expected direction:factor") from None
         steps.append((j, f))
-    m = max(j for j, _ in steps)
     if min(j for j, _ in steps) < 1:
         raise InputError("directions must be positive")
-    dims = [1] * m
+    # A direction above the step count leaves some direction without a step.
+    for j, f in steps:
+        if j > len(steps):
+            raise InputError(f"direction {j} in step {j}:{f} exceeds the step count {len(steps)}")
+    dims = [1] * max(j for j, _ in steps)
     for j, f in steps:
         if f < 2:
             raise InputError(f"factor {f} in step {j}:{f} must be >= 2")

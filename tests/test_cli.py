@@ -4,12 +4,13 @@ import math
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from addsys.cli import main
+from addsys.cli import _COMMANDS, main
 from conftest import (
     E1A_PARTS,
     E2_SDS_PARTS,
@@ -17,6 +18,9 @@ from conftest import (
     JOF_TEXT_E2,
     src_env,
 )
+
+#: Every (group, command) pair in the CLI's command table.
+TABLE_COMMANDS = {(group, command) for group, (_, table) in _COMMANDS.items() for command in table}
 
 
 def run_cli(capsys, *argv, stdin=None):
@@ -60,12 +64,12 @@ class TestJof:
         code, out, err = run_cli(capsys, "jof", "enumerate", "--dims", "4,2", "--limit", "-1")
         assert code == 2
         assert out == ""
-        assert "limit" in err
+        assert err == "error: --limit must be >= 0, got -1\n"
 
     def test_bad_dims(self, capsys):
         code, _, err = run_cli(capsys, "jof", "enumerate", "--dims", "2,x")
         assert code == 2
-        assert "error" in err
+        assert err == "error: malformed dims '2,x', expected comma-separated integers\n"
 
 
 class TestSumsys:
@@ -83,6 +87,13 @@ class TestSumsys:
         assert "cap" in err
         assert run_cli(capsys, "sumsys", "from-jof", "1:4,2:2", "--max-product", "7")[0] == 3
         assert run_cli(capsys, "sumsys", "from-jof", "1:4,2:2", "--max-product", "8")[0] == 0
+
+    @pytest.mark.parametrize("command", [["sumsys", "from-jof"], ["cuboid", "build", "--jof"]])
+    def test_huge_direction_is_a_short_input_error(self, capsys, command):
+        for cap in ([], ["--max-product", "1"]):
+            code, out, err = run_cli(capsys, *command, "10000000:2", *cap)
+            assert (code, out) == (2, "")
+            assert len(err) < 200
 
     def test_verify_pass_and_fail(self, capsys, tmp_path):
         good = tmp_path / "good.json"
@@ -114,7 +125,10 @@ class TestSumsys:
     def test_malformed_json_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "sumsys", "verify", "-", stdin="{nope")
         assert code == 2
-        assert "invalid JSON" in err
+        assert err == (
+            "error: invalid JSON in '-': Expecting property name enclosed in double quotes:"
+            " line 1 column 2 (char 1)\n"
+        )
 
     def test_decompose_rejects_invalid_system_with_report(self, capsys):
         payload = json.dumps({"dims": [2, 2], "parts": [[0, 1], [0, 1]]})
@@ -259,13 +273,36 @@ class TestSquare:
         payload = json.dumps({"flavour": "inclusive", "parts": [[1], [3]]})
         code, _, err = run_cli(capsys, "square", "magic", "--sds", "-", stdin=payload)
         assert code == 2
+        assert err == "error: magic squares need a non-inclusive system\n"
+        code, _, err = run_cli(capsys, "square", "mostperfect", "--sds", "-", stdin=payload)
+        assert code == 2
+        assert err == "error: most perfect squares need a non-inclusive system\n"
 
     def test_bad_signs(self, capsys):
         payload = json.dumps({"flavour": "non-inclusive", "parts": [[7, 9], [2, 6]]})
-        code, _, err = run_cli(
-            capsys, "square", "magic", "--sds", "-", "--signs", "+x;+-", stdin=payload
-        )
-        assert code == 2
+        for signs, message in [
+            ("+x;+-", "v must use only '+' and '-', got '+x'"),
+            ("+-;x-", "w must use only '+' and '-', got 'x-'"),
+            ("+-", "--signs must be two sign strings joined by ';'"),
+            ("+-;-+;", "--signs must be two sign strings joined by ';'"),
+        ]:
+            code, _, err = run_cli(
+                capsys, "square", "magic", "--sds", "-", "--signs", signs, stdin=payload
+            )
+            assert code == 2
+            assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["reversible", "magic", "mostperfect"])
+    @pytest.mark.parametrize("flavour", ["non-inclusive", "inclusive"])
+    def test_needs_two_parts(self, capsys, command, flavour):
+        payload = json.dumps({"flavour": flavour, "parts": [[1], [1], [1]]})
+        code, out, err = run_cli(capsys, "square", command, "--sds", "-", stdin=payload)
+        assert (code, out) == (2, "")
+        if flavour == "inclusive" and command != "reversible":
+            squares = "magic squares" if command == "magic" else "most perfect squares"
+            assert err == f"error: {squares} need a non-inclusive system\n"
+        else:
+            assert err == "error: square construction needs a 2-part system, got 3\n"
 
     @pytest.mark.parametrize("payload", ['{"n":true,"entries":[[1]]}', '{"n":1.0,"entries":[[1]]}'])
     def test_verify_rejects_a_non_integer_side(self, capsys, payload):
@@ -277,9 +314,20 @@ class TestSquare:
         assert "'n' must be an integer" in err
 
 
+HELP_TEXT = json.loads(Path(__file__).with_name("cli_help.json").read_text(encoding="utf-8"))
+
+
 class TestContract:
     def test_unknown_subcommand(self, capsys):
         assert run_cli(capsys, "nope")[0] == 2
+
+    def test_help_of_every_parser_level_is_unchanged(self, capsys, monkeypatch):
+        # cli_help.json holds the --help text of each level at 80 columns,
+        # captured from the CLI before its commands moved into one table.
+        monkeypatch.setenv("COLUMNS", "80")
+        assert set(HELP_TEXT) == {"", *_COMMANDS, *map(" ".join, TABLE_COMMANDS)}
+        for level, text in HELP_TEXT.items():
+            assert run_cli(capsys, *level.split(), "--help") == (0, text, "")
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "sumsys", "verify", "/does/not/exist.json")
@@ -340,6 +388,10 @@ def test_max_product_applies_to_every_subcommand(capsys, argv, stdin):
     assert "cap is 1" in err
 
 
+def test_capped_forms_cover_every_subcommand():
+    assert {tuple(argv[:2]) for argv, _ in CAPPED_FORMS.values()} == TABLE_COMMANDS
+
+
 #: Every command that reads a JSON document, without its source argument.
 DOCUMENT_COMMANDS = [
     ["sumsys", "verify"],
@@ -391,6 +443,21 @@ def documents(draw):
 
 
 class TestRobustness:
+    @pytest.mark.parametrize("via_stdin", [False, True], ids=["file", "stdin"])
+    @pytest.mark.parametrize("payload", [b"\xff\xfe{}", b"[" * 100_000, b"1" * 5_000],
+                             ids=["not-utf-8", "nested-too-deep", "over-long-integer"])
+    @pytest.mark.parametrize("command", DOCUMENT_COMMANDS, ids=" ".join)
+    def test_unreadable_document_is_an_input_error(
+        self, capsys, tmp_path, command, payload, via_stdin
+    ):
+        source = tmp_path / "doc.json"
+        source.write_bytes(payload)
+        path = "-" if via_stdin else str(source)
+        with mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO(payload), "utf-8")):
+            code, out, err = run_cli(capsys, *command, path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: invalid JSON in {path!r}: ")
+
     @given(st.sampled_from(DOCUMENT_COMMANDS), documents())
     @settings(max_examples=500, deadline=None)
     def test_any_document_gets_a_documented_exit(self, command, doc):

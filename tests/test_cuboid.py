@@ -108,6 +108,11 @@ class TestIndexing:
         for flat in range(24):
             assert flat_index(dims, multi_index(dims, flat)) == flat
 
+    @pytest.mark.parametrize("flat", [4, 7, -1, 1.5])
+    def test_multi_index_gated_and_range_checked(self, flat):
+        with pytest.raises(InputError):
+            multi_index((2, 2), flat)
+
     def test_direction_one_fastest(self):
         assert flat_index((3, 4), (2, 1)) == 1
         assert flat_index((3, 4), (1, 2)) == 3

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -156,7 +158,7 @@ class TestTextSyntax:
         assert parse_jof(" 1:2 , 2:3 ").steps == ((1, 2), (2, 3))
 
     @pytest.mark.parametrize(
-        "bad", ["", "1:", ":2", "1-2", "0:2", "1:1", "1:2,1:2", "x", "1:2;2:2"]
+        "bad", ["", "1:", ":2", "1-2", "0:2", "1:1", "1:2,1:2", "x", "1:2;2:2", "3:2", "1:2,3:2"]
     )
     def test_malformed_rejected(self, bad):
         with pytest.raises(InputError):
@@ -166,3 +168,17 @@ class TestTextSyntax:
         jof = parse_jof("1:2,3:2,1:2")
         assert jof.dims == (4, 1, 2)
         assert validate_jof(jof.steps, jof.dims).passed
+
+    def test_direction_beyond_the_steps_refused_before_allocating(self):
+        # Directions above the step count would leave unit dims; refusing
+        # them first keeps a huge index from allocating a dims vector.
+        m = 10_000_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError) as refused:
+                parse_jof(f"{m}:2")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m
+        assert str(refused.value) == f"direction {m} in step {m}:2 exceeds the step count 1"
