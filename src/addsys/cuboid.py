@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import compress, count, product
 from math import prod
 from typing import Sequence
 
@@ -69,6 +69,11 @@ class Cuboid:
 
 
 def strides(dims: Sequence[int]) -> tuple[int, ...]:
+    _require_ints(dims, "dims must be positive integers", lo=1)
+    return _strides(dims)
+
+
+def _strides(dims: Sequence[int]) -> tuple[int, ...]:
     out = []
     acc = 1
     for n in dims:
@@ -124,7 +129,7 @@ def kron_dir(v: Sequence[int], j: int, M: Cuboid) -> Cuboid:
     _require_ints(weights, "weights must be non-negative integers", lo=0)
     if M.entries:
         ensure_int64(max(weights) * max(M.entries), "scaled entry")
-    block = strides(M.dims)[j - 1] * M.dims[j - 1]
+    block = _strides(M.dims)[j - 1] * M.dims[j - 1]
     out: list[int] = []
     for start in range(0, M.size, block):
         chunk = M.entries[start : start + block]
@@ -142,7 +147,7 @@ def building_op(j: int, k: int, M: Cuboid) -> Cuboid:
     _require_ints((k,), "copy count must be a positive integer", lo=1)
     total = M.size
     ensure_int64((k - 1) * total + max(M.entries), "offset entry")
-    block = strides(M.dims)[j - 1] * M.dims[j - 1]
+    block = _strides(M.dims)[j - 1] * M.dims[j - 1]
     out: list[int] = []
     for start in range(0, total, block):
         chunk = M.entries[start : start + block]
@@ -163,7 +168,7 @@ def build_cuboid(jof: JointOrderedFactorisation, cap: int = DEFAULT_CAP) -> Cubo
 
 def _axes(M: Cuboid) -> list[tuple[int, ...]]:
     """Entries along every coordinate axis, root included, one slice each."""
-    return [M.entries[0 : s * n : s] for s, n in zip(strides(M.dims), M.dims)]
+    return [M.entries[0 : s * n : s] for s, n in zip(_strides(M.dims), M.dims)]
 
 
 def axis_sets(M: Cuboid, check: bool = True) -> SumSystem:
@@ -302,7 +307,7 @@ def _monotonicity(M: Cuboid, first: int = 0) -> VerificationReport | None:
     lies in the block holding ``first`` or a later one.
     """
     entries = M.entries
-    for j, (step, n) in enumerate(zip(strides(M.dims), M.dims), start=1):
+    for j, (step, n) in enumerate(zip(_strides(M.dims), M.dims), start=1):
         block = step * n
         for start in range(first // block * block, M.size, block):
             chunk = entries[start : start + block]
@@ -365,13 +370,10 @@ def to_csv(M: Cuboid) -> str:
     the rows; slices are emitted in lexicographic order of the fixed
     indices (k_3, ..., k_m).
     """
-    from itertools import product
-
     n1 = M.dims[0]
     n2 = M.dims[1] if M.order >= 2 else 1
-    slice_size = n1 * n2
     fixed_dims = M.dims[2:]
-    stride_of = strides(M.dims)[2:]
+    stride_of = _strides(M.dims)[2:]
     blocks = []
     for fixed in product(*(range(n) for n in fixed_dims)):
         start = sum(k * s for k, s in zip(fixed, stride_of))

@@ -102,7 +102,8 @@ def _require_enumerable(dims: Sequence[int]) -> tuple[int, ...]:
     if not dims:
         raise InputError("dims vector is empty")
     if not _are_ints(dims, lo=2):
-        raise InputError(f"dims must all be integers >= 2, got {list(dims)}")
+        bad = next(x for x in dims if not _are_ints((x,), lo=2))
+        raise InputError(f"dims must all be integers >= 2, got {bad!r}")
     return dims
 
 

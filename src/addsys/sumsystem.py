@@ -12,7 +12,7 @@ characteristic polynomials must have all-ones coefficients.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from typing import Sequence
 
 from .core import (
@@ -148,27 +148,24 @@ def polynomial_check(ss: SumSystem, cap: int = DEFAULT_CAP) -> VerificationRepor
 
     The system is valid exactly when the product is 1 + x + ... +
     x^(d-1) with d = prod(sizes); this never forms the sum multiset, so
-    it is an independent oracle for verify_sum_system.
+    it is an independent oracle for verify_sum_system.  The product is
+    one int, w = d.bit_length() bits per exponent: a coefficient below
+    x^d counts at most d < 2^w index tuples and shifts are non-negative,
+    so no field carries and masking exponents >= d keeps the rest exact.
+    The coefficients sum to d, so the first that is not 1 lies below x^d.
+    Parts go by ascending maximum, which keeps the early products short.
     """
     d = ss.target_size
     _require_cap(d, "polynomial coefficients", cap)
-    # Coefficients are non-negative and sum to d, so if any differs from
-    # the target one below x^d does; dropping exponents >= d keeps every
-    # buffer within d entries and leaves the lower coefficients exact.
-    coeffs = [1]
-    for part in ss.parts:
-        out = [0] * min(len(coeffs) + part[-1], d)
-        top = len(out) - 1
-        for i, c in enumerate(coeffs):
-            if c:
-                reach = part if i + part[-1] <= top else part[: bisect_right(part, top - i)]
-                for x in reach:
-                    out[i + x] += c
-        coeffs = out
-    coeffs += [0] * (d - len(coeffs))
-    for exponent, c in enumerate(coeffs):
-        if c != 1:
-            return VerificationReport.fail("polynomial-coefficient", witness=exponent)
+    w = d.bit_length()
+    keep = (1 << d * w) - 1
+    poly = 1
+    for part in sorted(ss.parts, key=lambda p: p[-1]):
+        poly = sum(poly << x * w for x in part[: bisect_left(part, d)]) & keep
+    diff = poly ^ keep // ((1 << w) - 1)  # the all-ones fields of 1 + ... + x^(d-1)
+    if diff:
+        low = (diff & -diff).bit_length() - 1  # the lowest bit that differs
+        return VerificationReport.fail("polynomial-coefficient", witness=low // w)
     return VerificationReport.ok()
 
 

@@ -8,6 +8,8 @@ on integer grids.
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_right
 from functools import lru_cache
 
 
@@ -94,6 +96,35 @@ def dims_vectors_up_to(max_product: int):
 def minkowski_oracle(sets) -> list[int]:
     """Sum multiset via itertools.product, independent of the library."""
     return sorted(sum(combo) for combo in itertools.product(*sets))
+
+
+def reference_polynomial_report(parts):
+    """(violated invariant, witness) of the coefficient-list product.
+
+    The parts' characteristic polynomials are multiplied one coefficient
+    at a time, exponents >= d = prod(sizes) dropped, and the first
+    exponent below d whose coefficient is not 1 is the witness; a valid
+    system gives (None, None).
+    """
+    d = math.prod(map(len, parts))
+    # Coefficients are non-negative and sum to d, so if any differs from
+    # the target one below x^d does; dropping exponents >= d keeps every
+    # buffer within d entries and leaves the lower coefficients exact.
+    coeffs = [1]
+    for part in parts:
+        out = [0] * min(len(coeffs) + part[-1], d)
+        top = len(out) - 1
+        for i, c in enumerate(coeffs):
+            if c:
+                reach = part if i + part[-1] <= top else part[: bisect_right(part, top - i)]
+                for x in reach:
+                    out[i + x] += c
+        coeffs = out
+    coeffs += [0] * (d - len(coeffs))
+    for exponent, c in enumerate(coeffs):
+        if c != 1:
+            return "polynomial-coefficient", exponent
+    return None, None
 
 
 # Grid property scans for the square families (plain integer rows).

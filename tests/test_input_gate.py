@@ -28,6 +28,7 @@ from addsys.cuboid import (
     flat_index,
     from_json_doc,
     kron_dir,
+    strides,
     trivial_cuboid,
     verify_reversible,
 )
@@ -91,6 +92,9 @@ HOSTILE = {
     "minkowski_sum float": (lambda: minkowski_sum([[0.5, 1]]), InputError, "integers"),
     "Progression float start": (lambda: Progression(0.5, 1, 2), InputError, "start"),
     "flat_index float index": (lambda: flat_index((2, 2), (1.5, 1)), InputError, "index"),
+    "strides float dims": (lambda: strides((2.0, 3)), InputError, "dims .*got 2.0$"),
+    "strides negative dims": (lambda: strides((-1, 3)), InputError, "dims .*got -1$"),
+    "strides zero dims": (lambda: strides((2, 0)), InputError, "dims .*got 0$"),
     "base_q_system float q": (lambda: base_q_system(2.0, 2), InputError, "integers"),
     "cli sumsys float dims": (
         lambda: _cli('{"dims":[2.0,2.0],"parts":[[0,1],[0,2]]}', "sumsys", "verify", "-"),
@@ -106,6 +110,12 @@ def test_hostile_values_reach_documented_errors(call, error, expected):
     else:
         with pytest.raises(error, match=expected):
             call()
+
+
+def test_enumerable_dims_error_names_the_offender():
+    with pytest.raises(InputError, match="got 1$") as refused:
+        count_jofs([2] * 100_000 + [1])
+    assert len(str(refused.value).encode()) < 100
 
 
 class Colour(IntEnum):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from addsys.core import (
     InputError,
@@ -25,11 +25,12 @@ from conftest import (
     E1A_PARTS,
     E1B_PARTS,
     E3_PARTS,
+    E4_PARTS,
     JOF_E1A,
     JOF_E1B,
     JOF_E3,
 )
-from support import dims_vectors_up_to
+from support import dims_vectors_up_to, reference_polynomial_report
 
 
 def jof(steps, dims):
@@ -156,6 +157,59 @@ class TestPolynomialCheck:
             return  # mutation broke strict monotonicity; not a valid shape
         mutated = SumSystem(tuple(tuple(p) for p in parts))
         assert polynomial_check(mutated).passed == verify_sum_system(mutated).passed
+
+
+def polynomial_report(parts):
+    report = polynomial_check(SumSystem(tuple(parts)))
+    return report.violated_invariant, report.witness
+
+
+class TestPolynomialReference:
+    """The packed product against the coefficient-list loop, witness included."""
+
+    @given(built_systems(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_after_mutation(self, ss, data):
+        d = ss.target_size
+        parts = [list(p) for p in ss.parts]
+        row = parts[data.draw(st.integers(0, len(parts) - 1))]
+        k = data.draw(st.integers(1, len(row) - 1))
+        mutation = data.draw(st.sampled_from(["none", "down", "up", "above", "huge", "drop"]))
+        if mutation in ("down", "up"):
+            row[k] += 1 if mutation == "up" else -1
+        elif mutation == "above":
+            row.append(d + data.draw(st.integers(0, 2 * d)))
+        elif mutation == "huge":
+            row.append(2**62)
+        elif mutation == "drop":
+            del row[k]
+        assume(len(row) >= 2 and all(a < b for a, b in zip(row, row[1:])))
+        assert polynomial_report(parts) == reference_polynomial_report(parts)
+
+    def test_binomial_coefficients_stay_in_their_fields(self):
+        # Twenty parts {0, 1}: the product is (1 + x)^20, whose middle
+        # coefficient 184,756 must not carry into its neighbour.
+        parts = [(0, 1)] * 20
+        assert polynomial_report(parts) == reference_polynomial_report(parts)
+        assert polynomial_report(parts) == ("polynomial-coefficient", 1)
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            [(0, 1), (0, 2), (0, 4), (0, 8)],
+            [(0, 1), (0, 2), (0, 4), (0, 9)],
+            [(0, 1, 2, 3), (0, 4, 8, 13)],
+            [(0, 2), (0, 1, 4, 5), (0, 8)],
+        ],
+    )
+    def test_power_of_two_target(self, parts):
+        assert polynomial_report(parts) == reference_polynomial_report(parts)
+
+    def test_worked_five_part_example_reject(self):
+        parts = [list(p) for p in E4_PARTS]
+        parts[3][5] += 1
+        assert polynomial_report(parts) == ("polynomial-coefficient", 2352)
+        assert reference_polynomial_report(parts) == ("polynomial-coefficient", 2352)
 
 
 class TestDecompose:
