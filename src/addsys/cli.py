@@ -127,19 +127,12 @@ def _sumsys_decompose(args: argparse.Namespace) -> dict:
 def _sds_from_sumsys(args: argparse.Namespace) -> dict:
     ss = sumsys_mod.from_json_doc(_load_json(args.source))
     flavour = args.flavour or sds_mod.infer_flavour(ss)
-    if flavour == sds_mod.NON_INCLUSIVE:
-        system = sds_mod.sumsys_to_sds_noninclusive(ss, cap=args.max_product)
-    else:
-        system = sds_mod.sumsys_to_sds_inclusive(ss, cap=args.max_product)
-    return sds_mod.to_json_doc(system)
+    return sds_mod.to_json_doc(sds_mod._from_sumsys(ss, flavour, args.max_product, check=True))
 
 
 def _sds_to_sumsys(args: argparse.Namespace) -> dict:
     system = sds_mod.from_json_doc(_load_json(args.source))
-    if system.flavour == sds_mod.NON_INCLUSIVE:
-        ss = sds_mod.sds_to_sumsys_noninclusive(system, cap=args.max_product)
-    else:
-        ss = sds_mod.sds_to_sumsys_inclusive(system, cap=args.max_product)
+    ss = sds_mod._to_sumsys(system, system.flavour, args.max_product, check=True)
     return sumsys_mod.to_json_doc(ss)
 
 
@@ -165,10 +158,7 @@ def _cuboid_decompose(args: argparse.Namespace) -> dict:
 
 def _square_reversible(args: argparse.Namespace) -> dict:
     system = _square_sds(args)
-    if system.flavour == sds_mod.NON_INCLUSIVE:
-        square = squares_mod.reversible_square_even(*system.parts, cap=args.max_product)
-    else:
-        square = squares_mod.reversible_square_odd(*system.parts, cap=args.max_product)
+    square = squares_mod._reversible_square(*system.parts, system.flavour, args.max_product)
     return squares_mod.to_json_doc(square)
 
 

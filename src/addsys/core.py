@@ -172,17 +172,13 @@ def _document(doc: object, kind: str, *keys: str) -> list[Any]:
 
 
 def as_component_set(
-    elements: Iterable[int],
-    *,
-    require_zero_start: bool = False,
-    require_positive: bool = False,
-    context: str = "component set",
+    elements: Iterable[int], *, context: str = "component set"
 ) -> tuple[int, ...]:
     """Validate and freeze one component set.
 
-    Elements must be strictly increasing integers within 64-bit range.
-    Sum-system parts must start at 0; sum-and-distance parts must be
-    strictly positive.
+    Elements must be strictly increasing non-negative integers within
+    64-bit range.  ``SumSystem`` and ``sds.SdsSystem`` check the first
+    element themselves: 0, and positive, respectively.
     """
     out = tuple(elements)
     if not out:
@@ -193,10 +189,6 @@ def as_component_set(
         raise InputError(f"{context} is not strictly increasing at {a}, {b}")
     if out[0] < 0:
         raise InputError(f"{context} contains negative element {out[0]}")
-    if require_zero_start and out[0] != 0:
-        raise InputError(f"{context} must contain 0, starts at {out[0]}")
-    if require_positive and out[0] == 0:
-        raise InputError(f"{context} must contain positive integers only, contains 0")
     return out
 
 
@@ -217,7 +209,9 @@ class SumSystem:
             raise InputError("sum system needs at least one part")
         frozen = []
         for i, part in enumerate(self.parts):
-            cs = as_component_set(part, require_zero_start=True, context=f"part {i + 1}")
+            cs = as_component_set(part, context=f"part {i + 1}")
+            if cs[0] != 0:
+                raise InputError(f"part {i + 1} must contain 0, starts at {cs[0]}")
             if len(cs) < 2:
                 raise InputError(f"part {i + 1} has cardinality {len(cs)}, need >= 2")
             frozen.append(cs)

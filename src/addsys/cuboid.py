@@ -34,7 +34,7 @@ from .core import (
     ensure_int64,
 )
 from .factorisation import JointOrderedFactorisation, _require_buildable, _walk_stages
-from .sumsystem import _certificate_first, _walk_stop, build_sum_system, verify_sum_system
+from .sumsystem import _build_sum_system, _certificate_first, _walk_stop, verify_sum_system
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def build_cuboid(jof: JointOrderedFactorisation, cap: int = DEFAULT_CAP) -> Cubo
     """The building chain's cuboid: the outer sums of the JOF's sum system."""
     _require_buildable(jof)
     _require_cap(prod(jof.dims), "cuboid entries", cap)  # before any part is built
-    return cuboid_from_sumsystem(build_sum_system(jof), cap=cap, check=False)
+    return cuboid_from_sumsystem(_build_sum_system(jof), cap=cap, check=False)
 
 
 def _axes(M: Cuboid) -> list[tuple[int, ...]]:
@@ -198,9 +198,14 @@ def verify_property_V(M: Cuboid) -> VerificationReport:
 
     Equivalent to requiring every entry to equal the sum of its axis
     projections minus (order - 1) times the root entry; the root need
-    not be zero.
+    not be zero.  Non-integer entries raise InputError, as in
+    ``verify_reversible``.
     """
-    p = _vertex_mismatch(M)
+    _require_int_entries(M)
+    return _vertex_report(M, _vertex_mismatch(M))
+
+
+def _vertex_report(M: Cuboid, p: int | None) -> VerificationReport:
     if p is None:
         return VerificationReport.ok()
     return VerificationReport.fail("vertex-sums", witness=list(multi_index(M.dims, p)))
@@ -246,23 +251,12 @@ def verify_reversible(M: Cuboid) -> VerificationReport:
     monotonicity violation in the blocks from p on, or else vertex sums
     at p.  Every other input gets the ordered scan of all three checks.
     """
-    entries = M.entries
-    # Summing is a third of the cost of reading every type, and any
-    # non-integer that is not an int subclass makes the sum fail or stop
-    # being an int; the exact type check waits for a pass.
-    try:
-        integral = type(sum(entries)) is int
-    except TypeError:
-        integral = False
-    if not integral:
-        raise _non_int_entry(M)
-    if entries[0] == 0 and _certificate_first(M.dims) and _walk_stop(_axes(M), M.dims) is None:
+    _require_int_entries(M)
+    if M.entries[0] == 0 and _certificate_first(M.dims) and _walk_stop(_axes(M), M.dims) is None:
         p = _vertex_mismatch(M)
         if p is None:
             return _pass_if_exact_ints(M)
-        return _monotonicity(M, p) or VerificationReport.fail(
-            "vertex-sums", witness=list(multi_index(M.dims, p))
-        )
+        return _monotonicity(M, p) or _vertex_report(M, p)
     return _scan_reversible(M)
 
 
@@ -271,7 +265,7 @@ def _scan_reversible(M: Cuboid) -> VerificationReport:
     monotonicity = _monotonicity(M)
     if monotonicity is not None:
         return monotonicity
-    vertex = verify_property_V(M)
+    vertex = _vertex_report(M, _vertex_mismatch(M))
     if not vertex.passed:
         return vertex
     seen = bytearray(M.size)
@@ -280,6 +274,21 @@ def _scan_reversible(M: Cuboid) -> VerificationReport:
             return VerificationReport.fail("entry-set", witness=x)
         seen[x] = 1
     return _pass_if_exact_ints(M)
+
+
+def _require_int_entries(M: Cuboid) -> None:
+    """Raise ``_non_int_entry`` unless the entries sum to an ``int``.
+
+    Summing is a third of the cost of reading every type, and any
+    non-integer that is not an int subclass makes the sum fail or stop
+    being an int; the exact type check waits for a pass.
+    """
+    try:
+        integral = type(sum(M.entries)) is int
+    except TypeError:
+        integral = False
+    if not integral:
+        raise _non_int_entry(M)
 
 
 def _pass_if_exact_ints(M: Cuboid) -> VerificationReport:

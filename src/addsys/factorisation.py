@@ -94,7 +94,8 @@ def _require_valid(jof: JointOrderedFactorisation) -> None:
 def _require_buildable(jof: JointOrderedFactorisation) -> None:
     """The gate every construction passes: a valid JOF with no unit dims."""
     _require_valid(jof)
-    _require_enumerable(jof.dims)
+    if 1 in jof.dims:  # a valid JOF's dims are already integers >= 1
+        raise InputError("dims must all be integers >= 2, got 1")
 
 
 def _require_enumerable(dims: Sequence[int]) -> tuple[int, ...]:

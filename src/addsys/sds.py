@@ -1,13 +1,19 @@
-"""Sum-and-distance systems and their bijections with sum systems.
+"""Sum-and-distance systems and their bijection with sum systems.
 
 A non-inclusive system's parts, signed both ways and summed one element
 per part, cover a symmetric progression of consecutive odd numbers; an
 inclusive system additionally admits 0 from each part and covers the
-consecutive integers.  Non-inclusive systems correspond one-to-one to
-sum systems with all part sizes even, inclusive ones to all sizes odd;
-the four maps realising those bijections are pure index arithmetic on
-sorted parts.  Mixed-parity sum systems are rejected by both converse
-maps.
+consecutive integers.  Both flavours are one progression with step h,
+h = 2 non-inclusive and h = 1 inclusive.
+
+One bijection, parametrised by the flavour, carries non-inclusive
+systems to sum systems with all part sizes even and inclusive ones to
+all sizes odd.  The forward map ``_to_sumsys`` mirrors each part about
+0 (adding 0 when inclusive), adds the part's maximum and divides by h.
+The inverse ``_from_sumsys`` pairs elements mirrored about the centre of
+each part (its centre element when inclusive) and takes their spread,
+halved when inclusive.  The four public maps fix the flavour.  Mixed-parity sum
+systems are rejected by both inverse maps.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from math import prod
+from operator import sub
 
 from .core import (
     DEFAULT_CAP,
@@ -37,6 +44,7 @@ from .sumsystem import _certificate_first, _walk_stop, verify_sum_system
 NON_INCLUSIVE = "non-inclusive"
 INCLUSIVE = "inclusive"
 FLAVOURS = (NON_INCLUSIVE, INCLUSIVE)
+_PARITY = ("even", "odd")
 
 
 @dataclass(frozen=True)
@@ -51,11 +59,13 @@ class SdsSystem:
             raise InputError(f"flavour must be one of {FLAVOURS}, got {self.flavour!r}")
         if not self.parts:
             raise InputError("sum-and-distance system needs at least one part")
-        frozen = tuple(
-            as_component_set(p, require_positive=True, context=f"part {i + 1}")
-            for i, p in enumerate(self.parts)
-        )
-        object.__setattr__(self, "parts", frozen)
+        frozen = []
+        for i, part in enumerate(self.parts):
+            cs = as_component_set(part, context=f"part {i + 1}")
+            if cs[0] == 0:
+                raise InputError(f"part {i + 1} must contain positive integers only, contains 0")
+            frozen.append(cs)
+        object.__setattr__(self, "parts", tuple(frozen))
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -68,11 +78,11 @@ def _signed(part: tuple[int, ...], with_zero: bool) -> list[int]:
 
 
 def _target(s: SdsSystem) -> Progression:
-    if s.flavour == NON_INCLUSIVE:
-        total = prod(2 * n for n in s.sizes)
-        return Progression(start=1 - total, step=2, count=total)
-    total = prod(2 * n + 1 for n in s.sizes)
-    return Progression(start=-(total - 1) // 2, step=1, count=total)
+    """The total signed sums, step h, symmetric about 0."""
+    inclusive = s.flavour == INCLUSIVE
+    h = 2 - inclusive
+    total = prod(2 * n + inclusive for n in s.sizes)
+    return Progression(start=-(total - 1) * h // 2, step=h, count=total)
 
 
 def verify_sds(s: SdsSystem, cap: int = DEFAULT_CAP) -> VerificationReport:
@@ -92,9 +102,8 @@ def verify_sds(s: SdsSystem, cap: int = DEFAULT_CAP) -> VerificationReport:
     inclusive = s.flavour == INCLUSIVE
     if _certificate_first([2 * n + inclusive for n in s.sizes]):
         _require_sum_bounds([_signed(p, inclusive) for p in s.parts], cap)
-        to_sumsys = sds_to_sumsys_inclusive if inclusive else sds_to_sumsys_noninclusive
         try:
-            ss = to_sumsys(s, check=False)
+            ss = _to_sumsys(s, s.flavour, cap, check=False)
         except (InputError, Int64OverflowError):
             ss = None
         if ss is not None and _walk_stop(ss.parts, ss.dims) is None:
@@ -136,107 +145,93 @@ def verify_sds_two_part(s: SdsSystem, cap: int = DEFAULT_CAP) -> VerificationRep
     return is_progression(values, target)
 
 
-def _checked_sds(s: SdsSystem, flavour: str, cap: int, check: bool) -> None:
+def _to_sumsys(s: SdsSystem, flavour: str, cap: int, check: bool) -> SumSystem:
+    """Part A becomes (max A + x) / h, x in ``_signed(A, inclusive)``, h = 2 - inclusive.
+
+    An element whose parity differs from the maximum's, possible only
+    when h = 2, is named, the first in ascending order.
+    """
     if s.flavour != flavour:
         raise InputError(f"expected a {flavour} system, got {s.flavour}")
     if check:
         _require_passed(verify_sds(s, cap=cap), f"{flavour} system")
+    inclusive = flavour == INCLUSIVE
+    h = 2 - inclusive
+    parts = []
+    for i, part in enumerate(s.parts):
+        top = part[-1]
+        odd = next((a for a in part if (top - a) % h), None)
+        if odd is not None:
+            raise InputError(f"part {i + 1}: max {top} and element {odd} differ in parity")
+        parts.append(tuple([(top + x) // h for x in _signed(part, inclusive)]))
+    return SumSystem(tuple(parts))
+
+
+def _from_sumsys(ss: SumSystem, flavour: str, cap: int, check: bool) -> SdsSystem:
+    """Element k of part P is (P[c + inclusive + k] - P[c - 1 - k]) / (1 + inclusive).
+
+    Here c = len(P) // 2.  A part of the wrong cardinality parity is
+    named; an odd spread, possible only when inclusive, means the input
+    was not a sum system at all.
+    """
+    inclusive = flavour == INCLUSIVE
+    for i, part in enumerate(ss.parts):
+        if len(part) % 2 != inclusive:
+            raise InputError(
+                f"part {i + 1} has {_PARITY[len(part) % 2]} cardinality {len(part)};"
+                f" {flavour} conversion needs all parts {_PARITY[inclusive]}"
+            )
+    if check:
+        _require_passed(verify_sum_system(ss, cap=cap), "sum system")
+    g = 1 + inclusive
+    parts = []
+    for i, part in enumerate(ss.parts):
+        c = len(part) // 2
+        highs, lows = part[c + inclusive :], part[c - 1 :: -1]
+        spreads = list(map(sub, highs, lows))
+        k = next((k for k, x in enumerate(spreads) if x % g), None)
+        if k is not None:
+            raise InputError(
+                f"part {i + 1}: elements {highs[k]} and {lows[k]}"
+                " straddle the centre with odd spread; corrupt input"
+            )
+        parts.append(tuple([x // g for x in spreads]))
+    return SdsSystem(tuple(parts), flavour)
 
 
 def sds_to_sumsys_noninclusive(
     s: SdsSystem, cap: int = DEFAULT_CAP, check: bool = True
 ) -> SumSystem:
     """Half-sum map: part A becomes {(max A - a) / 2, (max A + a) / 2}."""
-    _checked_sds(s, NON_INCLUSIVE, cap, check)
-    parts = []
-    for i, part in enumerate(s.parts):
-        top = part[-1]
-        halves = []
-        for a in part:
-            if (top - a) % 2:
-                raise InputError(
-                    f"part {i + 1}: max {top} and element {a} differ in parity"
-                )
-            halves.append((top - a) // 2)
-            halves.append((top + a) // 2)
-        parts.append(tuple(sorted(halves)))
-    return SumSystem(tuple(parts))
+    return _to_sumsys(s, NON_INCLUSIVE, cap, check)
 
 
 def sumsys_to_sds_noninclusive(
     ss: SumSystem, cap: int = DEFAULT_CAP, check: bool = True
 ) -> SdsSystem:
-    """Differences of elements mirrored about the centre of each part.
-
-    Every part must have even cardinality; the offending part is named
-    otherwise.
-    """
-    for i, part in enumerate(ss.parts):
-        if len(part) % 2:
-            raise InputError(
-                f"part {i + 1} has odd cardinality {len(part)};"
-                " non-inclusive conversion needs all parts even"
-            )
-    if check:
-        _require_passed(verify_sum_system(ss, cap=cap), "sum system")
-    parts = []
-    for part in ss.parts:
-        half = len(part) // 2
-        parts.append(tuple(part[half + k] - part[half - 1 - k] for k in range(half)))
-    return SdsSystem(tuple(parts), NON_INCLUSIVE)
+    """Differences of elements mirrored about the centre of each even-sized part."""
+    return _from_sumsys(ss, NON_INCLUSIVE, cap, check)
 
 
 def sds_to_sumsys_inclusive(
     s: SdsSystem, cap: int = DEFAULT_CAP, check: bool = True
 ) -> SumSystem:
     """Shift map: part A becomes max A + (-A, 0, A)."""
-    _checked_sds(s, INCLUSIVE, cap, check)
-    parts = []
-    for part in s.parts:
-        top = part[-1]
-        parts.append(tuple(top + x for x in _signed(part, with_zero=True)))
-    return SumSystem(tuple(parts))
+    return _to_sumsys(s, INCLUSIVE, cap, check)
 
 
 def sumsys_to_sds_inclusive(
     ss: SumSystem, cap: int = DEFAULT_CAP, check: bool = True
 ) -> SdsSystem:
-    """Half-differences about the centre element of each odd-sized part.
-
-    Every part must have odd cardinality.  A half-difference that fails
-    to be an integer means the input was not a sum system at all.
-    """
-    for i, part in enumerate(ss.parts):
-        if len(part) % 2 == 0:
-            raise InputError(
-                f"part {i + 1} has even cardinality {len(part)};"
-                " inclusive conversion needs all parts odd"
-            )
-    if check:
-        _require_passed(verify_sum_system(ss, cap=cap), "sum system")
-    parts = []
-    for i, part in enumerate(ss.parts):
-        half = len(part) // 2
-        out = []
-        for k in range(1, half + 1):
-            spread = part[half + k] - part[half - k]
-            if spread % 2:
-                raise InputError(
-                    f"part {i + 1}: elements {part[half + k]} and {part[half - k]}"
-                    " straddle the centre with odd spread; corrupt input"
-                )
-            out.append(spread // 2)
-        parts.append(tuple(out))
-    return SdsSystem(tuple(parts), INCLUSIVE)
+    """Half-differences about the centre element of each odd-sized part."""
+    return _from_sumsys(ss, INCLUSIVE, cap, check)
 
 
 def infer_flavour(ss: SumSystem) -> str:
     """Flavour of the matching sum-and-distance system, by size parity."""
     parities = {len(p) % 2 for p in ss.parts}
-    if parities == {0}:
-        return NON_INCLUSIVE
-    if parities == {1}:
-        return INCLUSIVE
+    if len(parities) == 1:
+        return FLAVOURS[parities.pop()]
     raise InputError(
         "mixed part-size parity: no single sum-and-distance flavour applies"
     )

@@ -102,22 +102,31 @@ def _rank_two_rows(signs, scales, col_a, col_b, weight2):
     return ([weight2 + s * a + c * y for a, y in zip(col_a, col_b)] for s, c in zip(signs, scales))
 
 
+def _reversible_square(
+    a: Sequence[int], b: Sequence[int], flavour: str, cap: int
+) -> SquareMatrix:
+    """Side 2*len(a) + inclusive reversible square, scale g = 1 + inclusive.
+
+    The weightless form is separable: twice the entry at (I, J) is
+    g * (alpha_J + beta_I) where alpha is the first part's signed axis
+    (``sds._signed`` reversed, through 0 when inclusive), beta likewise
+    for the second part, so row I is g * alpha + (g * beta_I + n^2 + 1).
+    Entries are exactly 1 .. n^2 when the pair is a valid system.
+    """
+    first, second = _paired_parts(a, b, flavour, cap)
+    inclusive = flavour == INCLUSIVE
+    g = 1 + inclusive
+    n = 2 * len(first) + inclusive
+    alpha = [g * x for x in _signed(first, inclusive)[::-1]]
+    shifts = [g * c + n * n + 1 for c in _signed(second, inclusive)[::-1]]
+    return _assemble(n, ([x + c for x in alpha] for c in shifts))
+
+
 def reversible_square_even(
     a: Sequence[int], b: Sequence[int], cap: int = DEFAULT_CAP
 ) -> SquareMatrix:
-    """Side 2*len(a) reversible square from a non-inclusive pair.
-
-    The weightless form is separable: twice the entry at (I, J) is
-    alpha_J + beta_I where alpha runs through the reversed first part
-    and then its negative, beta likewise for the second part, so row I
-    is alpha + (beta_I + n^2 + 1).  Entries are exactly 1 .. n^2 when
-    the pair is a valid system.
-    """
-    first, second = _paired_parts(a, b, NON_INCLUSIVE, cap)
-    n = 2 * len(first)
-    alpha = _signed(first, False)[::-1]
-    shifts = [c + n * n + 1 for c in _signed(second, False)[::-1]]
-    return _assemble(n, ([x + c for x in alpha] for c in shifts))
+    """Side 2*len(a) reversible square from a non-inclusive pair."""
+    return _reversible_square(a, b, NON_INCLUSIVE, cap)
 
 
 def reversible_square_odd(
@@ -125,14 +134,9 @@ def reversible_square_odd(
 ) -> SquareMatrix:
     """Side 2*len(a) + 1 reversible square from an inclusive pair.
 
-    Same separable pattern, doubled, with a zero row and column
-    through the centre; the centre entry is always (n^2 + 1) / 2.
+    The centre entry is always (n^2 + 1) / 2.
     """
-    first, second = _paired_parts(a, b, INCLUSIVE, cap)
-    n = 2 * len(first) + 1
-    alpha = [2 * x for x in _signed(first, True)[::-1]]
-    shifts = [2 * c + n * n + 1 for c in _signed(second, True)[::-1]]
-    return _assemble(n, ([x + c for x in alpha] for c in shifts))
+    return _reversible_square(a, b, INCLUSIVE, cap)
 
 
 def _sign_vector(signs: Sequence[int] | None, nu: int, label: str) -> tuple[int, ...]:

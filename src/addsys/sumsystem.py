@@ -44,6 +44,11 @@ def build_sum_system(jof: JointOrderedFactorisation) -> SumSystem:
     which keeps every part sorted and disjoint by construction.
     """
     _require_buildable(jof)
+    return _build_sum_system(jof)
+
+
+def _build_sum_system(jof: JointOrderedFactorisation) -> SumSystem:
+    """``build_sum_system`` of a JOF that has passed ``_require_buildable``."""
     parts: list[list[int]] = [[0] for _ in jof.dims]
     scale = 1
     for j, f in jof.steps:
@@ -162,9 +167,10 @@ def polynomial_check(ss: SumSystem, cap: int = DEFAULT_CAP) -> VerificationRepor
     poly = 1
     for part in sorted(ss.parts, key=lambda p: p[-1]):
         poly = sum(poly << x * w for x in part[: bisect_left(part, d)]) & keep
-    diff = poly ^ keep // ((1 << w) - 1)  # the all-ones fields of 1 + ... + x^(d-1)
-    if diff:
-        low = (diff & -diff).bit_length() - 1  # the lowest bit that differs
+    poly ^= keep // ((1 << w) - 1)  # the all-ones fields of 1 + ... + x^(d-1)
+    del keep  # in place and without ``keep``, a reject peaks no higher than a pass
+    if poly:
+        low = (poly & -poly).bit_length() - 1  # the lowest bit that differs
         return VerificationReport.fail("polynomial-coefficient", witness=low // w)
     return VerificationReport.ok()
 

@@ -12,6 +12,16 @@ import math
 from bisect import bisect_right
 from functools import lru_cache
 
+from addsys.core import (
+    DEFAULT_CAP,
+    InputError,
+    SumSystem,
+    VerificationFailedError,
+    VerificationReport,
+)
+from addsys.sds import INCLUSIVE, NON_INCLUSIVE, SdsSystem, verify_sds
+from addsys.sumsystem import verify_sum_system
+
 
 @lru_cache(maxsize=None)
 def divisors_ge2(n: int) -> tuple[int, ...]:
@@ -357,3 +367,114 @@ def plain_grid_reference(rows):
             if 2 * x not in INT64:
                 return "Int64OverflowError", 2 * x
     return None
+
+
+
+# The four sum-and-distance maps as the library ran them before one
+# flavour-parametrised body per direction replaced them, each body
+# unchanged, with copies of the three private helpers they called: the
+# reference the library's maps are held to, outcome for outcome.
+
+def _require_passed(report: VerificationReport, context: str) -> None:
+    """The gate of every operation that needs a verified input."""
+    if not report.passed:
+        raise VerificationFailedError(context, report)
+
+
+def _signed(part: tuple[int, ...], with_zero: bool) -> list[int]:
+    """The part mirrored about 0, ascending; reversed, a square's signed axis."""
+    return [-x for x in reversed(part)] + [0] * with_zero + list(part)
+
+
+def _checked_sds(s: SdsSystem, flavour: str, cap: int, check: bool) -> None:
+    if s.flavour != flavour:
+        raise InputError(f"expected a {flavour} system, got {s.flavour}")
+    if check:
+        _require_passed(verify_sds(s, cap=cap), f"{flavour} system")
+
+
+def reference_sds_to_sumsys_noninclusive(
+    s: SdsSystem, cap: int = DEFAULT_CAP, check: bool = True
+) -> SumSystem:
+    """Half-sum map: part A becomes {(max A - a) / 2, (max A + a) / 2}."""
+    _checked_sds(s, NON_INCLUSIVE, cap, check)
+    parts = []
+    for i, part in enumerate(s.parts):
+        top = part[-1]
+        halves = []
+        for a in part:
+            if (top - a) % 2:
+                raise InputError(
+                    f"part {i + 1}: max {top} and element {a} differ in parity"
+                )
+            halves.append((top - a) // 2)
+            halves.append((top + a) // 2)
+        parts.append(tuple(sorted(halves)))
+    return SumSystem(tuple(parts))
+
+
+def reference_sumsys_to_sds_noninclusive(
+    ss: SumSystem, cap: int = DEFAULT_CAP, check: bool = True
+) -> SdsSystem:
+    """Differences of elements mirrored about the centre of each part.
+
+    Every part must have even cardinality; the offending part is named
+    otherwise.
+    """
+    for i, part in enumerate(ss.parts):
+        if len(part) % 2:
+            raise InputError(
+                f"part {i + 1} has odd cardinality {len(part)};"
+                " non-inclusive conversion needs all parts even"
+            )
+    if check:
+        _require_passed(verify_sum_system(ss, cap=cap), "sum system")
+    parts = []
+    for part in ss.parts:
+        half = len(part) // 2
+        parts.append(tuple(part[half + k] - part[half - 1 - k] for k in range(half)))
+    return SdsSystem(tuple(parts), NON_INCLUSIVE)
+
+
+def reference_sds_to_sumsys_inclusive(
+    s: SdsSystem, cap: int = DEFAULT_CAP, check: bool = True
+) -> SumSystem:
+    """Shift map: part A becomes max A + (-A, 0, A)."""
+    _checked_sds(s, INCLUSIVE, cap, check)
+    parts = []
+    for part in s.parts:
+        top = part[-1]
+        parts.append(tuple(top + x for x in _signed(part, with_zero=True)))
+    return SumSystem(tuple(parts))
+
+
+def reference_sumsys_to_sds_inclusive(
+    ss: SumSystem, cap: int = DEFAULT_CAP, check: bool = True
+) -> SdsSystem:
+    """Half-differences about the centre element of each odd-sized part.
+
+    Every part must have odd cardinality.  A half-difference that fails
+    to be an integer means the input was not a sum system at all.
+    """
+    for i, part in enumerate(ss.parts):
+        if len(part) % 2 == 0:
+            raise InputError(
+                f"part {i + 1} has even cardinality {len(part)};"
+                " inclusive conversion needs all parts odd"
+            )
+    if check:
+        _require_passed(verify_sum_system(ss, cap=cap), "sum system")
+    parts = []
+    for i, part in enumerate(ss.parts):
+        half = len(part) // 2
+        out = []
+        for k in range(1, half + 1):
+            spread = part[half + k] - part[half - k]
+            if spread % 2:
+                raise InputError(
+                    f"part {i + 1}: elements {part[half + k]} and {part[half - k]}"
+                    " straddle the centre with odd spread; corrupt input"
+                )
+            out.append(spread // 2)
+        parts.append(tuple(out))
+    return SdsSystem(tuple(parts), INCLUSIVE)

@@ -30,6 +30,7 @@ from addsys.cuboid import (
     kron_dir,
     strides,
     trivial_cuboid,
+    verify_property_V,
     verify_reversible,
 )
 from addsys.factorisation import (
@@ -63,6 +64,18 @@ HOSTILE = {
     "magic v bool": (lambda: _magic((True, -1)), InputError, "^v entries"),
     "cuboid dims bool": (lambda: verify_reversible(Cuboid((True, 2), (0, 1))), InputError, "dims"),
     "cuboid dims float": (lambda: verify_reversible(Cuboid((2.0,), (0, 1))), InputError, "dims"),
+    "property V strings": (
+        lambda: verify_property_V(Cuboid((2,), ("a", "b"))), InputError, r"got 'a' at index \[1\]$",
+    ),
+    "property V None": (
+        lambda: verify_property_V(Cuboid((2,), (None, 1))), InputError, r"got None at index \[1\]$",
+    ),
+    "property V floats": (
+        lambda: verify_property_V(Cuboid((2,), (0.0, 1.0))), InputError, r"got 0.0 at index \[1\]$",
+    ),
+    "property V half": (
+        lambda: verify_property_V(Cuboid((2,), (0, 1.5))), InputError, r"got 1.5 at index \[2\]$",
+    ),
     "trivial_cuboid float order": (lambda: trivial_cuboid(1.5), InputError, "order"),
     "building_op float copies": (
         lambda: building_op(1, 2.0, trivial_cuboid(1)), InputError, "copy count",

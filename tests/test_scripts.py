@@ -24,6 +24,17 @@ def test_worked_examples_all_hold():
     assert ": False" not in run_script("reproduce_worked_examples.py")
 
 
+def test_worked_examples_match_golden():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "reproduce_worked_examples.py")],
+        capture_output=True,
+        env=src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    golden = Path(__file__).with_name("worked_examples.txt").read_bytes()
+    assert proc.stdout == golden
+
+
 def test_census_total_to_30():
     lines = run_script("jof_census.py", "30").splitlines()
     assert "all 118 609" in [" ".join(line.split()) for line in lines]

@@ -1,7 +1,10 @@
+import math
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from addsys.core import (
+    DEFAULT_CAP,
     CapExceededError,
     InputError,
     Int64OverflowError,
@@ -25,7 +28,13 @@ from addsys.sds import (
 )
 from addsys.sumsystem import build_sum_system
 from conftest import E2_SDS_PARTS, E3_SDS_PARTS
-from support import dims_vectors_up_to
+from support import (
+    dims_vectors_up_to,
+    reference_sds_to_sumsys_inclusive,
+    reference_sds_to_sumsys_noninclusive,
+    reference_sumsys_to_sds_inclusive,
+    reference_sumsys_to_sds_noninclusive,
+)
 
 
 def ni(*parts):
@@ -233,3 +242,115 @@ class TestJsonDocument:
     def test_missing_keys(self):
         with pytest.raises(InputError):
             from_json_doc({"parts": [[1]]})
+
+
+def outcome(fn, *args, **kwargs):
+    """The value of a call, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as error:
+        return type(error).__name__, str(error)
+
+
+def bumped(parts, draw):
+    """The parts, with one element possibly moved by a small amount."""
+    parts = [list(p) for p in parts]
+    if draw(st.booleans()):
+        row = parts[draw(st.integers(0, len(parts) - 1))]
+        row[draw(st.integers(0, len(row) - 1))] += draw(st.sampled_from([-2, -1, 1, 2]))
+    return tuple(map(tuple, parts))
+
+
+@st.composite
+def map_sum_systems(draw):
+    """Built sum systems of every size parity, some with one element moved."""
+    dims = draw(
+        st.lists(st.integers(2, 7), min_size=1, max_size=3).filter(lambda d: math.prod(d) <= 200)
+    )
+    options = list(enumerate_jofs(tuple(dims)))
+    ss = build_sum_system(options[draw(st.integers(0, len(options) - 1))])
+    try:
+        return SumSystem(bumped(ss.parts, draw))
+    except InputError:
+        assume(False)
+
+
+@st.composite
+def map_sds_systems(draw):
+    """Images of built sum systems, some moved, some relabelled, and arbitrary parts."""
+    if draw(st.booleans()):
+        ss = draw(map_sum_systems())
+        inverse = draw(st.sampled_from([
+            reference_sumsys_to_sds_noninclusive, reference_sumsys_to_sds_inclusive,
+        ]))
+        image = outcome(inverse, ss, check=False)
+        assume(isinstance(image, SdsSystem))
+        parts = bumped(image.parts, draw)
+    else:
+        part = st.lists(st.integers(1, 60), min_size=1, max_size=4, unique=True).map(sorted)
+        parts = tuple(map(tuple, draw(st.lists(part, min_size=1, max_size=3))))
+    try:
+        return SdsSystem(parts, draw(st.sampled_from([NON_INCLUSIVE, INCLUSIVE])))
+    except InputError:
+        assume(False)
+
+
+class TestAgainstSeparateBodies:
+    """Each public map against its body from before the flavour-parametrised
+    helpers: the same value, or the same exception type and message."""
+
+    @given(map_sds_systems(), st.booleans(), st.sampled_from([DEFAULT_CAP, 40]))
+    @settings(max_examples=300, deadline=None)
+    def test_forward_maps(self, s, check, cap):
+        for lib, ref in (
+            (sds_to_sumsys_noninclusive, reference_sds_to_sumsys_noninclusive),
+            (sds_to_sumsys_inclusive, reference_sds_to_sumsys_inclusive),
+        ):
+            assert outcome(lib, s, cap=cap, check=check) == outcome(ref, s, cap=cap, check=check)
+
+    @given(map_sum_systems(), st.booleans(), st.sampled_from([DEFAULT_CAP, 40]))
+    @settings(max_examples=300, deadline=None)
+    def test_inverse_maps(self, ss, check, cap):
+        for lib, ref in (
+            (sumsys_to_sds_noninclusive, reference_sumsys_to_sds_noninclusive),
+            (sumsys_to_sds_inclusive, reference_sumsys_to_sds_inclusive),
+        ):
+            assert outcome(lib, ss, cap=cap, check=check) == outcome(ref, ss, cap=cap, check=check)
+
+
+class TestRefusalTexts:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: sds_to_sumsys_noninclusive(ni((3, 4, 6)), check=False),
+                "part 1: max 6 and element 3 differ in parity",
+            ),
+            (
+                lambda: sumsys_to_sds_inclusive(SumSystem(((0, 1, 2), (0, 1, 3))), check=False),
+                "part 2: elements 3 and 0 straddle the centre with odd spread; corrupt input",
+            ),
+            (
+                lambda: sumsys_to_sds_noninclusive(SumSystem(((0, 1), (0, 1, 2)))),
+                "part 2 has odd cardinality 3; non-inclusive conversion needs all parts even",
+            ),
+            (
+                lambda: sumsys_to_sds_inclusive(SumSystem(((0, 1, 2), (0, 3)))),
+                "part 2 has even cardinality 2; inclusive conversion needs all parts odd",
+            ),
+            (
+                lambda: sds_to_sumsys_inclusive(ni((1,))),
+                "expected a inclusive system, got non-inclusive",
+            ),
+            (
+                lambda: sds_to_sumsys_noninclusive(inc((1,))),
+                "expected a non-inclusive system, got inclusive",
+            ),
+        ],
+        ids=["parity", "odd-spread", "odd-cardinality", "even-cardinality",
+             "expected-inclusive", "expected-non-inclusive"],
+    )
+    def test_exact_message(self, call, message):
+        with pytest.raises(InputError) as refused:
+            call()
+        assert str(refused.value) == message

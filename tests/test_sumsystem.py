@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -137,6 +139,24 @@ class TestPolynomialCheck:
         report = polynomial_check(SumSystem(((0, 2**62),)))
         assert not report.passed
         assert report.witness == 1
+
+    def test_reject_peaks_no_higher_than_pass(self):
+        # Locating the first bad coefficient must not copy the packed
+        # product again: d = 2^17 here, so each copy is about 300 kB.
+        def traced_peak(parts):
+            tracemalloc.start()
+            try:
+                report = polynomial_check(SumSystem(parts))
+                return report.witness, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        parts = base_q_system(2, 17).parts
+        assert len(parts) == 17
+        passed, pass_peak = traced_peak(parts)
+        witness, reject_peak = traced_peak(((0, 2), *parts[1:]))
+        assert (passed, witness) == (None, 1)
+        assert reject_peak <= 1.03 * pass_peak
 
     @given(built_systems())
     @settings(max_examples=40, deadline=None)
