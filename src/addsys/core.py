@@ -80,6 +80,10 @@ class VerificationReport:
             passed=False, violated_invariant=invariant, witness=witness, note=note
         )
 
+    def _described(self) -> str:
+        """How an error message names a failed report: ``invariant (witness ...)``."""
+        return f"{self.violated_invariant} (witness {_shown(self.witness)})"
+
     def to_json_doc(self) -> dict:
         doc: dict[str, Any] = {"passed": self.passed}
         if self.violated_invariant is not None:
@@ -97,7 +101,7 @@ class VerificationFailedError(RuntimeError):
     def __init__(self, context: str, report: VerificationReport):
         self.context = context
         self.report = report
-        super().__init__(f"{context}: {report.violated_invariant} (witness {report.witness!r})")
+        super().__init__(f"{context}: {report._described()}")
 
 
 def _require_passed(report: VerificationReport, context: str) -> None:
@@ -106,9 +110,21 @@ def _require_passed(report: VerificationReport, context: str) -> None:
         raise VerificationFailedError(context, report)
 
 
+def _shown(value: Any) -> str:
+    """``repr``, but an int too long for ``str`` shows its bit length, also in a list or dict."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, list):
+            return f"[{', '.join(map(_shown, value))}]"
+        if isinstance(value, dict):
+            return "{" + ", ".join(f"{_shown(k)}: {_shown(v)}" for k, v in value.items()) + "}"
+        return f"<{'negative ' * (value < 0)}int of {value.bit_length()} bits>"
+
+
 def ensure_int64(value: int, context: str = "value") -> int:
     if not (INT64_MIN <= value <= INT64_MAX):
-        raise Int64OverflowError(f"{context} {value} exceeds signed 64-bit range")
+        raise Int64OverflowError(f"{context} {_shown(value)} exceeds signed 64-bit range")
     return value
 
 
@@ -156,9 +172,9 @@ def _require_ints(values: Sequence[Any], rule: str, lo: int = INT64_MIN) -> None
         return
     for x in values:
         if type(x) is not int or (lo > INT64_MIN and x < lo):
-            raise InputError(f"{rule}, got {x!r}")
+            raise InputError(f"{rule}, got {_shown(x)}")
         if not INT64_MIN <= x <= INT64_MAX:
-            raise Int64OverflowError(f"{rule} within signed 64 bits, got {x}")
+            raise Int64OverflowError(f"{rule} within signed 64 bits, got {_shown(x)}")
 
 
 def _document(doc: object, kind: str, *keys: str) -> list[Any]:

@@ -31,6 +31,7 @@ from .core import (
     _require_cap,
     _require_ints,
     _require_passed,
+    _shown,
     ensure_int64,
 )
 from .factorisation import JointOrderedFactorisation, _require_buildable, _walk_stages
@@ -52,7 +53,7 @@ class Cuboid:
         # Entries are checked by the reader and ``verify_reversible``: a type
         # pass costs about 80 ms on an E4 tensor, and built tensors need none.
         if not self.dims or not _are_ints(self.dims, lo=1):
-            raise InputError(f"dims must be positive integers, got {list(self.dims)}")
+            raise InputError(f"dims must be positive integers, got {_shown(list(self.dims))}")
         total = prod(self.dims)
         if len(self.entries) != total:
             raise InputError(
@@ -304,7 +305,7 @@ def _non_int_entry(M: Cuboid) -> InputError:
     # Not ``core._require_ints``: the message names the offender's multi-index.
     flat, x = next((i, x) for i, x in enumerate(M.entries) if type(x) is not int)
     return InputError(
-        f"entries must be integers, got {x!r} at index {list(multi_index(M.dims, flat))}"
+        f"entries must be integers, got {_shown(x)} at index {list(multi_index(M.dims, flat))}"
     )
 
 
@@ -346,7 +347,7 @@ def decompose_cuboid(M: Cuboid, check: bool = True) -> JointOrderedFactorisation
     if check:
         _require_passed(verify_reversible(M), "decompose input")
     elif M.entries[0] != 0:
-        raise InternalContradictionError(f"root entry is {M.entries[0]!r}, not 0")
+        raise InternalContradictionError(f"root entry is {_shown(M.entries[0])}, not 0")
     jof = _walk_stages(_axes(M), M.dims)
     p = None if check else _vertex_mismatch(M)
     if p is not None:

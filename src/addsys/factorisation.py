@@ -19,7 +19,7 @@ from math import isqrt, prod
 from operator import ne
 from typing import Iterator, Sequence
 
-from .core import InputError, InternalContradictionError, VerificationReport, _are_ints
+from .core import InputError, InternalContradictionError, VerificationReport, _are_ints, _shown
 
 Step = tuple[int, int]
 
@@ -51,27 +51,35 @@ def _divisors_ge2(n: int) -> tuple[int, ...]:
 
 
 def validate_jof(steps: Sequence[Step], dims: Sequence[int]) -> VerificationReport:
-    """Check the two defining clauses plus factor and direction ranges.
+    """Check the two defining clauses plus step shape, factor and direction ranges.
 
     Violations come back as failed reports, never exceptions, so callers
     can surface them verbatim.
     """
     dims = tuple(dims)
+    pairs = []  # the steps up to the first that is not two values
+    try:
+        for j, f in steps:
+            pairs.append((j, f))
+    except (TypeError, ValueError):
+        pass
     # One gate pass over every value; only a failure is located.
-    ints = _are_ints((*dims, *chain.from_iterable(steps)), lo=1)
+    ints = _are_ints((*dims, *chain.from_iterable(pairs)), lo=1)
     if not dims or not (ints or _are_ints(dims, lo=1)):
         return VerificationReport.fail("dims-range", witness=list(dims))
+    if len(pairs) < len(steps):
+        return VerificationReport.fail("step-shape", witness=len(pairs) + 1)
     m = len(dims)
-    for l, (j, f) in enumerate(steps, start=1):
+    for l, (j, f) in enumerate(pairs, start=1):
         if not (ints or _are_ints((j,))) or not 1 <= j <= m:
             return VerificationReport.fail("direction-range", witness=l)
         if not (ints or _are_ints((f,))) or f < 2:
             return VerificationReport.fail("factor-range", witness=l)
-    for l in range(1, len(steps)):
-        if steps[l][0] == steps[l - 1][0]:
+    for l in range(1, len(pairs)):
+        if pairs[l][0] == pairs[l - 1][0]:
             return VerificationReport.fail("adjacent-directions", witness=l + 1)
     products = [1] * m
-    for j, f in steps:
+    for j, f in pairs:
         products[j - 1] *= f
     for j in range(m):
         if products[j] != dims[j]:
@@ -85,10 +93,7 @@ def validate_jof(steps: Sequence[Step], dims: Sequence[int]) -> VerificationRepo
 def _require_valid(jof: JointOrderedFactorisation) -> None:
     report = validate_jof(jof.steps, jof.dims)
     if not report.passed:
-        raise InputError(
-            f"invalid joint ordered factorisation: {report.violated_invariant}"
-            f" (witness {report.witness!r})"
-        )
+        raise InputError(f"invalid joint ordered factorisation: {report._described()}")
 
 
 def _require_buildable(jof: JointOrderedFactorisation) -> None:
@@ -104,7 +109,7 @@ def _require_enumerable(dims: Sequence[int]) -> tuple[int, ...]:
         raise InputError("dims vector is empty")
     if not _are_ints(dims, lo=2):
         bad = next(x for x in dims if not _are_ints((x,), lo=2))
-        raise InputError(f"dims must all be integers >= 2, got {bad!r}")
+        raise InputError(f"dims must all be integers >= 2, got {_shown(bad)}")
     return dims
 
 
@@ -184,9 +189,7 @@ def canonicalise(steps: Sequence[Step], dims: Sequence[int]) -> JointOrderedFact
     dims = tuple(dims)
     report = validate_jof(steps, dims)
     if not report.passed and report.violated_invariant != "adjacent-directions":
-        raise InputError(
-            f"cannot canonicalise: {report.violated_invariant} (witness {report.witness!r})"
-        )
+        raise InputError(f"cannot canonicalise: {report._described()}")
     fused: list[Step] = []
     for j, f in steps:
         if fused and fused[-1][0] == j:

@@ -34,6 +34,7 @@ from .core import (
     _require_cap,
     _require_passed,
     _require_sum_bounds,
+    _shown,
     _sorted_sums,
     as_component_set,
     ensure_int64,
@@ -56,7 +57,7 @@ class SdsSystem:
 
     def __post_init__(self) -> None:
         if self.flavour not in FLAVOURS:
-            raise InputError(f"flavour must be one of {FLAVOURS}, got {self.flavour!r}")
+            raise InputError(f"flavour must be one of {FLAVOURS}, got {_shown(self.flavour)}")
         if not self.parts:
             raise InputError("sum-and-distance system needs at least one part")
         frozen = []

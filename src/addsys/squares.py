@@ -4,14 +4,15 @@ Four families: even and odd reversible squares, associated magic
 squares, and most perfect squares.  Each arises by filling a block
 pattern from the two parts of a sum-and-distance system and adding the
 weight (n^2 + 1) / 2, which recentres the entries onto 1 .. n^2.  The
-weight is a half-integer for even n, so matrices are stored in doubled
-units throughout and halved exactly on output.
+weight is a half-integer for even n, so a builder computes each row in
+doubled units and halves it in the same expression; every matrix holds
+plain integers.
 
-Everything works a row at a time: builders emit whole rows, grids are
-validated by whole-grid passes, and ``verify_square`` compares rows.
-Failures are named as the ordered per-entry scan names them: a failing
-grid pass reruns that scan, and a failing row is searched for its
-first mismatching column.
+Everything works a row at a time: builders emit whole rows, the
+integer gate takes one row per call, and ``verify_square`` compares
+rows.  Failures are named as the ordered per-entry scan names them: a
+failing entry-set pass reruns that scan, and a failing row is searched
+for its first mismatching column.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .core import (
     _require_cap,
     _require_ints,
     _require_passed,
-    ensure_int64,
+    _shown,
 )
 from .sds import INCLUSIVE, NON_INCLUSIVE, SdsSystem, _signed, verify_sds
 
@@ -39,40 +40,27 @@ KINDS = ("reversible", "associated", "most-perfect")
 
 @dataclass(frozen=True)
 class SquareMatrix:
-    """n x n integers in doubled units (stored value = 2 x true value)."""
+    """n x n integer entries, row by row; a bad entry is named before a bad shape."""
 
     n: int
-    doubled: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not _are_ints((self.n,), lo=1):
-            raise InputError(f"side length must be a positive integer, got {self.n!r}")
+        _require_ints((self.n,), "side length must be a positive integer", lo=1)
         # Tuple rows: row comparisons need them, and the square hashes.
-        object.__setattr__(self, "doubled", tuple(map(tuple, self.doubled)))
-        if len(self.doubled) != self.n or any(len(r) != self.n for r in self.doubled):
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
+        for row in self.rows:
+            _require_ints(row, "entries must be integers")
+        if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
             raise InputError(f"need a {self.n} x {self.n} entry grid")
-        flat = list(chain.from_iterable(self.doubled))
-        if not _are_ints(flat) or len({x & 1 for x in flat}) != 1:
-            # Not ``core._require_ints``: the first offender, row-major,
-            # may break the type, the range or the shared parity.
-            for x in flat:
-                if type(x) is not int:
-                    raise InputError(f"entries must be integers, got {x!r}")
-                ensure_int64(x, "doubled entry")
-                if (x - flat[0]) % 2:
-                    raise InputError("doubled entries must share parity")
 
     @staticmethod
     def from_plain(rows: Sequence[Sequence[int]]) -> "SquareMatrix":
-        """The square of plain integer rows; a non-integer is named as given."""
-        for row in rows:
-            _require_ints(row, "entries must be integers")
-        return SquareMatrix(len(rows), [[2 * x for x in row] for row in rows])
+        """The square of the integer rows."""
+        return SquareMatrix(len(rows), rows)
 
     def plain_rows(self) -> list[list[int]]:
-        if self.doubled and self.doubled[0][0] % 2:
-            raise InputError("entries are half-integers; no exact plain form")
-        return [[x // 2 for x in row] for row in self.doubled]
+        return list(map(list, self.rows))
 
 
 def _paired_parts(
@@ -88,18 +76,10 @@ def _paired_parts(
     return first, second
 
 
-def _assemble(n: int, rows) -> SquareMatrix:
-    # Entries share a parity (SquareMatrix checks that once), so one
-    # corner decides whether the halved matrix is integral.
-    M = SquareMatrix(n, rows)
-    if M.doubled[0][0] % 2:
-        raise InputError("weighted entries do not halve exactly; invalid inputs")
-    return M
-
-
 def _rank_two_rows(signs, scales, col_a, col_b, weight2):
-    """Rows ``weight2 + s_i * col_a + c_i * col_b``."""
-    return ([weight2 + s * a + c * y for a, y in zip(col_a, col_b)] for s, c in zip(signs, scales))
+    """Rows ``(weight2 + s_i * col_a + c_i * col_b) / 2``, halved in the row."""
+    pairs = list(zip(col_a, col_b))
+    return ([(weight2 + s * a + c * y) >> 1 for a, y in pairs] for s, c in zip(signs, scales))
 
 
 def _reversible_square(
@@ -110,8 +90,9 @@ def _reversible_square(
     The weightless form is separable: twice the entry at (I, J) is
     g * (alpha_J + beta_I) where alpha is the first part's signed axis
     (``sds._signed`` reversed, through 0 when inclusive), beta likewise
-    for the second part, so row I is g * alpha + (g * beta_I + n^2 + 1).
-    Entries are exactly 1 .. n^2 when the pair is a valid system.
+    for the second part, so twice row I is g * alpha + (g * beta_I + n^2
+    + 1), halved as it is built.  Entries are exactly 1 .. n^2 when the
+    pair is a valid system, so every doubled entry is even.
     """
     first, second = _paired_parts(a, b, flavour, cap)
     inclusive = flavour == INCLUSIVE
@@ -119,7 +100,7 @@ def _reversible_square(
     n = 2 * len(first) + inclusive
     alpha = [g * x for x in _signed(first, inclusive)[::-1]]
     shifts = [g * c + n * n + 1 for c in _signed(second, inclusive)[::-1]]
-    return _assemble(n, ([x + c for x in alpha] for c in shifts))
+    return SquareMatrix(n, ([(x + c) >> 1 for x in alpha] for c in shifts))
 
 
 def reversible_square_even(
@@ -140,9 +121,7 @@ def reversible_square_odd(
 
 
 def _sign_vector(signs: Sequence[int] | None, nu: int, label: str) -> tuple[int, ...]:
-    if signs is None:
-        signs = tuple(1 if k % 2 == 0 else -1 for k in range(nu))
-    out = tuple(signs)
+    out = (1, -1) * (nu // 2) if signs is None else tuple(signs)
     if len(out) != nu:
         raise InputError(f"{label} must have length {nu}, got {len(out)}")
     if not _are_ints(out) or any(s not in (1, -1) for s in out):
@@ -164,8 +143,8 @@ def associated_magic_square(
     ``v`` and ``w`` are zero-sum sign vectors (alternating by default)
     that scramble the rank-one block pattern without disturbing the row
     and column sums.  Requires even part size.  With alpha and beta as
-    for reversible squares, s = v + v[::-1] and W = w + w[::-1], row I
-    is (s_I alpha + n^2 + 1) + beta_I W.
+    for reversible squares, s = v + v[::-1] and W = w + w[::-1], twice
+    row I is (s_I alpha + n^2 + 1) + beta_I W.
     """
     first, second = _paired_parts(a, b, NON_INCLUSIVE, cap)
     nu = len(first)
@@ -174,7 +153,7 @@ def associated_magic_square(
     vs, ws = _sign_vector(v, nu, "v"), _sign_vector(w, nu, "w")
     n = 2 * nu
     alpha, beta = _signed(first, False)[::-1], _signed(second, False)[::-1]
-    return _assemble(n, _rank_two_rows(vs + vs[::-1], beta, alpha, ws + ws[::-1], n * n + 1))
+    return SquareMatrix(n, _rank_two_rows(vs + vs[::-1], beta, alpha, ws + ws[::-1], n * n + 1))
 
 
 def most_perfect_square(
@@ -183,11 +162,11 @@ def most_perfect_square(
     """Most perfect square from a non-inclusive pair of even size.
 
     The inputs play the role of doubled coefficient vectors, so the
-    weightless entries are half-integers; doubled units absorb that
-    exactly.  Every toroidal 2 x 2 block of the result sums to
-    2 * (n^2 + 1) and diagonal entries half the side apart pair to
+    weightless entries are half-integers: each row is formed doubled
+    and halved exactly.  Every toroidal 2 x 2 block of the result sums
+    to 2 * (n^2 + 1) and diagonal entries half the side apart pair to
     n^2 + 1.  With sigma = (1, -1, ..) of length n, r = a2 + (-a2)
-    and Q = b2 + (-b2), row I is r_I sigma + (sigma_I Q + n^2 + 1).
+    and Q = b2 + (-b2), twice row I is r_I sigma + (sigma_I Q + n^2 + 1).
     """
     first, second = _paired_parts(a2, b2, NON_INCLUSIVE, cap)
     nu = len(first)
@@ -196,20 +175,16 @@ def most_perfect_square(
     n = 2 * nu
     sigma, r = (1, -1) * nu, first + tuple(-x for x in first)
     q = second + tuple(-x for x in second)
-    return _assemble(n, _rank_two_rows(sigma, r, q, sigma, n * n + 1))
+    return SquareMatrix(n, _rank_two_rows(sigma, r, q, sigma, n * n + 1))
 
 
 def _entry_set_witness(M: SquareMatrix) -> int | None:
-    n, d = M.n, M.doubled
-    if d[0][0] % 2:
-        return d[0][0]  # half-integers cannot form 1 .. n^2; doubled units
-    # All entries share the corner's parity, so they are even: n^2
-    # distinct even values in 2 .. 2n^2 are exactly 2, 4, .., 2n^2.
-    flat = list(chain.from_iterable(d))
-    if min(flat) >= 2 and max(flat) <= 2 * n * n and len(set(flat)) == n * n:
+    n, flat = M.n, list(chain.from_iterable(M.rows))
+    # n^2 distinct values in 1 .. n^2 are exactly 1 .. n^2.
+    if min(flat) >= 1 and max(flat) <= n * n and len(set(flat)) == n * n:
         return None
     seen = bytearray(n * n + 1)
-    for value in (x // 2 for x in flat):
+    for value in flat:
         if not (1 <= value <= n * n) or seen[value]:
             return value
         seen[value] = 1
@@ -252,8 +227,8 @@ def verify_square(M: SquareMatrix, kind: str) -> VerificationReport:
     T fails, or else (I+1, 1) for the first I where C fails.
     """
     if kind not in KINDS:
-        raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
-    n, d = M.n, M.doubled
+        raise InputError(f"kind must be one of {KINDS}, got {_shown(kind)}")
+    n, d = M.n, M.rows
     note = "toroidal-2x2-blocks" if kind == "most-perfect" else None
 
     def fail(invariant: str, witness) -> VerificationReport:
@@ -272,11 +247,11 @@ def verify_square(M: SquareMatrix, kind: str) -> VerificationReport:
         if i is not None:
             return fail("line-reversal", {"row": i + 1, "column": (j or 0) + 1})
         return VerificationReport.ok()
+    pair_sum = n * n + 1
     for invariant, lines in (("row-sum", d), ("column-sum", zip(*d))):
         for k, line in enumerate(lines):
-            if sum(line) != n * (n * n + 1):
+            if 2 * sum(line) != n * pair_sum:
                 return fail(invariant, k + 1)
-    pair_sum = 2 * (n * n + 1)
     if kind == "associated":
         wants = (tuple([pair_sum - x for x in reversed(r)]) for r in reversed(d))
         at = _first_mismatch(d, wants)
@@ -307,7 +282,7 @@ def from_json_doc(doc: object, cap: int = DEFAULT_CAP) -> SquareMatrix:
         raise InputError("'entries' must be a list of rows")
     _require_cap(sum(map(len, rows)), "square cells", cap)
     M = SquareMatrix.from_plain(rows)
+    _require_ints((n,), "'n' must be an integer")
     if M.n != n:
         raise InputError(f"'n' is {n} but the grid is {M.n} x {M.n}")
-    _require_ints((n,), "'n' must be an integer")
     return M

@@ -18,6 +18,7 @@ from typing import Sequence
 from .core import (
     DEFAULT_CAP,
     InputError,
+    Int64OverflowError,
     InternalContradictionError,
     SumSystem,
     VerificationReport,
@@ -27,6 +28,7 @@ from .core import (
     _require_ints,
     _require_passed,
     _require_sum_bounds,
+    _shown,
     _sorted_sums,
     as_component_set,
     ensure_int64,
@@ -196,10 +198,10 @@ def base_q_system(q: int, m: int) -> SumSystem:
     _require_ints((q, m), "q and m must be integers")
     if q < 2 or m < 1:
         raise InputError(f"need q >= 2 and m >= 1, got q={q}, m={m}")
+    if m >= 64:  # q**m >= 2**64: refused before the power is formed
+        raise Int64OverflowError(f"largest value {q}**{m} - 1 exceeds signed 64-bit range")
     ensure_int64(q**m - 1, "largest representable value")
-    return SumSystem(
-        tuple(tuple(i * q**k for i in range(q)) for k in range(m))
-    )
+    return SumSystem(tuple(tuple(i * q**k for i in range(q)) for k in range(m)))
 
 
 def to_json_doc(ss: SumSystem) -> dict:
@@ -217,5 +219,5 @@ def from_json_doc(doc: object) -> SumSystem:
         raise InputError("'parts' must be a list of lists")
     ss = SumSystem(tuple(tuple(p) for p in parts))
     if not isinstance(dims, list) or not _are_ints(dims) or tuple(dims) != ss.dims:
-        raise InputError(f"'dims' {dims} do not match part sizes {list(ss.dims)}")
+        raise InputError(f"'dims' {_shown(dims)} do not match part sizes {list(ss.dims)}")
     return ss

@@ -348,12 +348,7 @@ def non_negative_reference(values):
 
 
 def plain_grid_reference(rows):
-    """``SquareMatrix.from_plain``: the row-major loop of ``SquareMatrix``.
-
-    It runs on the caller's values first, so a non-integer is named as
-    given and not doubled, then checks the shape, then the doubled values
-    against int64.  Parity needs no check: doubled values are even.
-    """
+    """``SquareMatrix.from_plain``: the values row-major, then the shape."""
     for row in rows:
         for x in row:
             if type(x) is not int:
@@ -362,10 +357,6 @@ def plain_grid_reference(rows):
                 return "Int64OverflowError", x
     if not rows or any(len(row) != len(rows) for row in rows):
         return ("InputError",)
-    for row in rows:
-        for x in row:
-            if 2 * x not in INT64:
-                return "Int64OverflowError", 2 * x
     return None
 
 

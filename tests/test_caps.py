@@ -7,11 +7,12 @@ counted element, less than a list of pointers to them would take; with
 the cap equal to the count, it returns.
 """
 
+import time
 import tracemalloc
 
 import pytest
 
-from addsys.core import CapExceededError, minkowski_sum
+from addsys.core import CapExceededError, Int64OverflowError, minkowski_sum
 from addsys.cuboid import build_cuboid, cuboid_from_sumsystem
 from addsys.cuboid import from_json_doc as cuboid_from_json_doc
 from addsys.factorisation import JointOrderedFactorisation
@@ -71,3 +72,21 @@ def _peak_while_refused(call, cap: int) -> int:
 def test_refused_below_the_count_before_materialising(call):
     assert _peak_while_refused(call, SIZE - 1) < 8 * SIZE
     call(SIZE)
+
+
+def test_base_q_system_refuses_before_forming_the_power():
+    # 10**3_000_000 takes seconds and over a megabyte to form; every
+    # m >= 64 overflows for q >= 2, so none is formed.
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(Int64OverflowError, match=r"10\*\*3000000 - 1 exceeds"):
+            base_q_system(10, 3_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - started < 0.5
+    assert peak < 10_000
+    with pytest.raises(Int64OverflowError):
+        base_q_system(2, 64)
+    assert base_q_system(2, 63).parts[-1] == (0, 2**62)

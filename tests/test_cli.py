@@ -313,6 +313,16 @@ class TestSquare:
         assert out == ""
         assert "'n' must be an integer" in err
 
+    @pytest.mark.parametrize("entry", [2**62, 2**63 - 1, -(2**62) - 1, -(2**63)])
+    def test_verify_reports_on_every_int64_entry(self, capsys, entry):
+        # Entries are held as given, so all of int64 reaches the report.
+        code, out, err = run_cli(
+            capsys, "square", "verify", "--kind", "reversible", "-",
+            stdin=f'{{"n":1,"entries":[[{entry}]]}}',
+        )
+        assert (code, err) == (1, "")
+        assert out == f'{{"passed":false,"violated_invariant":"entry-set","witness":{entry}}}\n'
+
 
 HELP_TEXT = json.loads(Path(__file__).with_name("cli_help.json").read_text(encoding="utf-8"))
 

@@ -14,6 +14,7 @@ from addsys.factorisation import (
     parse_jof,
     validate_jof,
 )
+from addsys.sumsystem import build_sum_system
 from conftest import DIMS_E1, DIMS_E2, JOF_E1A, JOF_E2, JOF_TEXT_E1A
 from support import dims_vectors_up_to, divisors_ge2, oracle_count, oracle_enumerate
 
@@ -40,6 +41,31 @@ class TestValidate:
     def test_empty_sequence_only_for_unit_dims(self):
         assert validate_jof((), (1, 1)).passed
         assert not validate_jof((), (2,)).passed
+
+    @pytest.mark.parametrize(
+        "steps, position",
+        [
+            ([(1, 2, 3)], 1),
+            ([1], 1),
+            ([None], 1),
+            ([(1, 2), (2,)], 2),
+            ([(1, 2), (2, 2), ()], 3),
+            ([(9, 2), "abc"], 2),  # shape before the ranges of earlier steps
+        ],
+    )
+    def test_malformed_steps_are_reported(self, steps, position):
+        report = validate_jof(steps, (2, 2))
+        assert (report.violated_invariant, report.witness) == ("step-shape", position)
+        with pytest.raises(InputError, match=rf"step-shape \(witness {position}\)$"):
+            build_sum_system(JointOrderedFactorisation(tuple(steps), (2, 2)))
+
+    def test_dims_range_precedes_step_shape(self):
+        assert validate_jof([1], (0,)).violated_invariant == "dims-range"
+
+    def test_any_pair_is_a_step(self):
+        # Two values that unpack are a step; the ranges then judge them.
+        assert validate_jof([[1, 2], iter((2, 2))], (2, 2)).passed
+        assert validate_jof(["12"], (2,)).violated_invariant == "direction-range"
 
 
 class TestEnumerate:
