@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, count
 from math import prod
-from operator import lt, ne
+from operator import countOf, lt, ne
 from typing import Any, Iterable, Sequence
 
 INT64_MIN = -(2**63)
@@ -72,7 +72,8 @@ class VerificationReport:
 
     @staticmethod
     def ok(note: str | None = None) -> "VerificationReport":
-        return VerificationReport(passed=True, note=note)
+        """A passing report; without a note, the one shared instance."""
+        return _PASSED if note is None else VerificationReport(passed=True, note=note)
 
     @staticmethod
     def fail(invariant: str, witness: Any = None, note: str | None = None) -> "VerificationReport":
@@ -93,6 +94,9 @@ class VerificationReport:
         if self.note is not None:
             doc["note"] = self.note
         return doc
+
+
+_PASSED = VerificationReport(passed=True)
 
 
 class VerificationFailedError(RuntimeError):
@@ -160,8 +164,18 @@ def _are_ints(values: Sequence[Any], lo: int = INT64_MIN) -> bool:
     """Is every value an ``int``, never a ``bool`` or other subclass, in
     lo .. INT64_MAX?  True when empty; whole-sequence passes, no copy."""
     return not values or (
-        set(map(type, values)) == {int} and lo <= min(values) and max(values) <= INT64_MAX
+        countOf(map(type, values), int) == len(values)
+        and lo <= min(values) and max(values) <= INT64_MAX
     )
+
+
+def _frozen(values: Any, what: str) -> tuple:
+    """``tuple(values)``, or InputError naming ``what`` if it is not iterable."""
+    try:
+        iter(values)
+    except TypeError:
+        raise InputError(f"{what} must be iterable, got {_shown(values)}") from None
+    return tuple(values)
 
 
 def _require_ints(values: Sequence[Any], rule: str, lo: int = INT64_MIN) -> None:
@@ -196,7 +210,7 @@ def as_component_set(
     64-bit range.  ``SumSystem`` and ``sds.SdsSystem`` check the first
     element themselves: 0, and positive, respectively.
     """
-    out = tuple(elements)
+    out = _frozen(elements, context)
     if not out:
         raise InputError(f"{context} is empty")
     _require_ints(out, f"{context} must hold integers")
@@ -224,7 +238,7 @@ class SumSystem:
         if not self.parts:
             raise InputError("sum system needs at least one part")
         frozen = []
-        for i, part in enumerate(self.parts):
+        for i, part in enumerate(_frozen(self.parts, "sum system parts")):
             cs = as_component_set(part, context=f"part {i + 1}")
             if cs[0] != 0:
                 raise InputError(f"part {i + 1} must contain 0, starts at {cs[0]}")
@@ -251,6 +265,7 @@ def minkowski_sum(
     non-integer, CapExceededError before materialising more than ``cap``
     elements, and Int64OverflowError if any sum could leave 64-bit range.
     """
+    sets = [_frozen(s, "each set") for s in _frozen(sets, "sets")]
     for s in sets:
         _require_ints(s, "sets must hold integers")
     return _sorted_sums(sets, cap)

@@ -14,19 +14,22 @@ stack offset copies of a smaller cuboid along one direction.
 from __future__ import annotations
 
 import operator
+import struct
 from dataclasses import dataclass
-from itertools import compress, count, product
+from itertools import chain, compress, count, product
 from math import prod
 from typing import Sequence
 
 from .core import (
     DEFAULT_CAP,
+    INT64_MAX,
     InputError,
     InternalContradictionError,
     SumSystem,
     VerificationReport,
     _are_ints,
     _document,
+    _frozen,
     _outer_sums,
     _require_cap,
     _require_ints,
@@ -48,8 +51,8 @@ class Cuboid:
     def __post_init__(self) -> None:
         # Freeze both fields: slices of the entries must be tuples, and
         # the cuboid hashable.  ``tuple(t) is t`` for a tuple.
-        object.__setattr__(self, "dims", tuple(self.dims))
-        object.__setattr__(self, "entries", tuple(self.entries))
+        object.__setattr__(self, "dims", _frozen(self.dims, "dims"))
+        object.__setattr__(self, "entries", _frozen(self.entries, "entries"))
         # Entries are checked by the reader and ``verify_reversible``: a type
         # pass costs about 80 ms on an E4 tensor, and built tensors need none.
         if not self.dims or not _are_ints(self.dims, lo=1):
@@ -215,19 +218,40 @@ def _vertex_report(M: Cuboid, p: int | None) -> VerificationReport:
 def _vertex_mismatch(M: Cuboid) -> int | None:
     """First flat position that is not the closed form of its axes, or None.
 
-    Compares one last-direction block at a time, so only the outer sums
-    of the other axes are held and a fault stops the comparison there.
+    Block k of the last direction must be ``inner`` (the outer sums of the
+    other axes) plus offset k of the last axis.  With int axes and every
+    such value in 0 .. INT64_MAX, blocks compare as int64 bytes with
+    ``base + offset * ones`` (``inner`` packed, a 1 per field), exactly:
+    no field carries, a negative entry packs to a field >= 2^63, and an
+    entry outside int64 or not an int fails to pack.  Other blocks take
+    the exact search.  An order-1 tensor is its own axis, so it passes.
     """
+    if M.order == 1:
+        return None
     entries = M.entries
+    axes = _axes(M)
     root = entries[0]
-    offsets = [[a - root for a in axis] for axis in _axes(M)]
+    offsets = [[a - root for a in axis] for axis in axes]
     inner = _outer_sums([(root,), *offsets[:-1]])
+    last = offsets[-1]
     width = len(inner)
-    for start, offset in zip(count(0, width), offsets[-1]):
-        got = entries[start : start + width]
-        want = tuple([x + offset for x in inner])
-        if got != want:
-            return next(compress(count(start), map(operator.ne, got, want)))
+    row = struct.Struct(f"<{width}q")
+    ints = operator.countOf(map(type, chain(*axes)), int) == sum(M.dims)
+    packed = ints and min(inner) >= 0 and min(last) >= 0 and max(inner) + max(last) <= INT64_MAX
+    if packed:
+        base = int.from_bytes(row.pack(*inner), "little")
+        ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * width, "little")
+    for start, offset in zip(count(0, width), last):
+        block = entries[start : start + width]
+        try:
+            if packed and row.pack(*block) == (base + offset * ones).to_bytes(8 * width, "little"):
+                continue
+        except struct.error:  # an entry outside int64, or not an int
+            pass
+        want = [x + offset for x in inner]
+        p = next(compress(count(start), map(operator.ne, block, want)), None)
+        if p is not None:
+            return p
     return None
 
 
@@ -269,9 +293,10 @@ def _scan_reversible(M: Cuboid) -> VerificationReport:
     vertex = _vertex_report(M, _vertex_mismatch(M))
     if not vertex.passed:
         return vertex
-    seen = bytearray(M.size)
+    size = M.size
+    seen = bytearray(size)
     for x in M.entries:
-        if not (0 <= x < M.size) or seen[x]:
+        if not (0 <= x < size) or seen[x]:
             return VerificationReport.fail("entry-set", witness=x)
         seen[x] = 1
     return _pass_if_exact_ints(M)
@@ -280,7 +305,7 @@ def _scan_reversible(M: Cuboid) -> VerificationReport:
 def _require_int_entries(M: Cuboid) -> None:
     """Raise ``_non_int_entry`` unless the entries sum to an ``int``.
 
-    Summing is a third of the cost of reading every type, and any
+    Summing costs less than half of reading every type, and any
     non-integer that is not an int subclass makes the sum fail or stop
     being an int; the exact type check waits for a pass.
     """
@@ -296,7 +321,7 @@ def _pass_if_exact_ints(M: Cuboid) -> VerificationReport:
     """Pass, unless a ``bool`` or other int subclass stood in for an int."""
     # A type pass, not ``core._require_ints``: a pass has proved the entry
     # set 0 .. size - 1, so a min/max range pass would learn nothing.
-    if set(map(type, M.entries)) != {int}:
+    if operator.countOf(map(type, M.entries), int) != M.size:
         raise _non_int_entry(M)
     return VerificationReport.ok()
 

@@ -31,6 +31,7 @@ from .core import (
     SumSystem,
     VerificationReport,
     _document,
+    _frozen,
     _require_cap,
     _require_passed,
     _require_sum_bounds,
@@ -61,7 +62,7 @@ class SdsSystem:
         if not self.parts:
             raise InputError("sum-and-distance system needs at least one part")
         frozen = []
-        for i, part in enumerate(self.parts):
+        for i, part in enumerate(_frozen(self.parts, "sum-and-distance system parts")):
             cs = as_component_set(part, context=f"part {i + 1}")
             if cs[0] == 0:
                 raise InputError(f"part {i + 1} must contain positive integers only, contains 0")

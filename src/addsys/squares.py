@@ -28,6 +28,7 @@ from .core import (
     VerificationReport,
     _are_ints,
     _document,
+    _frozen,
     _require_cap,
     _require_ints,
     _require_passed,
@@ -48,7 +49,8 @@ class SquareMatrix:
     def __post_init__(self) -> None:
         _require_ints((self.n,), "side length must be a positive integer", lo=1)
         # Tuple rows: row comparisons need them, and the square hashes.
-        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
+        rows = _frozen(self.rows, "square rows")
+        object.__setattr__(self, "rows", tuple([_frozen(row, "square row") for row in rows]))
         for row in self.rows:
             _require_ints(row, "entries must be integers")
         if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
@@ -57,6 +59,7 @@ class SquareMatrix:
     @staticmethod
     def from_plain(rows: Sequence[Sequence[int]]) -> "SquareMatrix":
         """The square of the integer rows."""
+        rows = _frozen(rows, "square rows")
         return SquareMatrix(len(rows), rows)
 
     def plain_rows(self) -> list[list[int]]:

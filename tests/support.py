@@ -347,6 +347,26 @@ def non_negative_reference(values):
     return None if values else ("InputError",)
 
 
+def vertex_reference(dims, entries):
+    """First row-major flat position whose entry is not the closed form of
+    its axes, sum of its axis projections - (m - 1) * root, or None.
+
+    One entry at a time, in exact integers: a position's digit in each
+    direction comes from repeated division, direction 1 first.
+    """
+    m = len(dims)
+    root = entries[0]
+    for p, x in enumerate(entries):
+        rest, scale, projections = p, 1, 0
+        for n in dims:
+            rest, k = divmod(rest, n)
+            projections += entries[k * scale]
+            scale *= n
+        if x != projections - (m - 1) * root:
+            return p
+    return None
+
+
 def plain_grid_reference(rows):
     """``SquareMatrix.from_plain``: the values row-major, then the shape."""
     for row in rows:

@@ -119,6 +119,13 @@ class TestVerificationReport:
         doc = VerificationReport.fail("bad", witness=3).to_json_doc()
         assert doc == {"passed": False, "violated_invariant": "bad", "witness": 3}
 
+    def test_plain_pass_is_one_frozen_instance(self):
+        assert VerificationReport.ok() is VerificationReport.ok()
+        with pytest.raises(AttributeError):
+            VerificationReport.ok().note = "changed"
+        assert VerificationReport.ok("toroidal").note == "toroidal"
+        assert VerificationReport.ok(None) == VerificationReport(passed=True)
+
 
 class TestSumSystemType:
     def test_shape_validation(self):

@@ -1,4 +1,6 @@
 import itertools
+import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +10,12 @@ from addsys.core import (
     InternalContradictionError,
     SumSystem,
     VerificationFailedError,
+    VerificationReport,
 )
 from addsys.cuboid import (
     Cuboid,
     _axes,
+    _vertex_mismatch,
     axis_sets,
     build_cuboid,
     building_op,
@@ -29,8 +33,10 @@ from addsys.cuboid import (
 )
 from addsys.factorisation import JointOrderedFactorisation, enumerate_jofs
 from addsys.sumsystem import _walk_stop, build_sum_system
-from conftest import DIMS_E1, DIMS_E2, DIMS_E3, E1A_PARTS, E3_PARTS, JOF_E1A, JOF_E2, JOF_E3
-from support import dims_vectors_up_to
+from conftest import (
+    DIMS_E1, DIMS_E2, DIMS_E3, DIMS_E4, E1A_PARTS, E3_PARTS, JOF_E1A, JOF_E2, JOF_E3, JOF_E4,
+)
+from support import dims_vectors_up_to, vertex_reference
 
 
 def jof(steps, dims):
@@ -229,7 +235,70 @@ class TestFromSumSystem:
         assert axis_sets(M, check=False) == e1a_system
 
 
+#: Values at and beyond the int64 edges, where the packed rows stop.
+EDGES = (2**62, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64)
+
+
+@st.composite
+def closed_form_cuboids(draw):
+    """Cuboids of product <= 64 that meet the vertex sums, then maybe mutated.
+
+    Each entry is the root plus one offset per direction.  Roots and
+    offsets may be negative or at the int64 edges, or all offsets
+    non-negative, as in a built cuboid; an entry may be bumped or
+    replaced by a bool or an edge value, and every 0 or 1 may be read as
+    a bool.  Order 1 and unit dims are included.
+    """
+    dims = draw(
+        st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda d: math.prod(d) <= 64)
+    )
+    values = st.integers(-3, 40)
+    if draw(st.booleans()):
+        values |= st.sampled_from(EDGES)
+    root = draw(st.just(0) | values)
+    offset = st.integers(0, 40) if draw(st.booleans()) else values
+    offsets = [[0] + draw(st.lists(offset, min_size=n - 1, max_size=n - 1)) for n in dims]
+    entries = [root + sum(cell) for cell in itertools.product(*reversed(offsets))]
+    for _ in range(draw(st.integers(0, 2))):
+        p = draw(st.integers(0, len(entries) - 1))
+        entries[p] = draw(st.sampled_from([entries[p] - 1, entries[p] + 1, False, True, *EDGES]))
+    if draw(st.booleans()):
+        entries = [bool(x) if x in (0, 1) else x for x in entries]
+    return Cuboid(tuple(dims), tuple(entries))
+
+
 class TestPropertyV:
+    @given(closed_form_cuboids())
+    @settings(max_examples=500, deadline=None)
+    def test_vertex_sums_match_the_per_entry_oracle(self, M):
+        p = vertex_reference(M.dims, M.entries)
+        assert _vertex_mismatch(M) == p
+        expected = (
+            VerificationReport.ok()
+            if p is None
+            else VerificationReport.fail("vertex-sums", witness=list(multi_index(M.dims, p)))
+        )
+        assert verify_property_V(M) == expected
+
+    def test_e4_interior_fault_named_by_both_routes(self):
+        M = build_cuboid(jof(JOF_E4, DIMS_E4))
+        steps = [math.prod(DIMS_E4[:j]) for j in range(len(DIMS_E4))]
+
+        def interior_and_still_increasing(p):
+            # off every axis and face, and +1 ties no later neighbour
+            return all(0 < p // s % n < n - 1 for s, n in zip(steps, DIMS_E4)) and all(
+                M.entries[p + s] > M.entries[p] + 1 for s in steps
+            )
+
+        p = next(filter(interior_and_still_increasing, range(M.size // 2, M.size)))
+        entries = list(M.entries)
+        entries[p] += 1
+        bumped = Cuboid(M.dims, tuple(entries))
+        index = list(multi_index(M.dims, p))
+        assert verify_reversible(bumped) == VerificationReport.fail("vertex-sums", witness=index)
+        with pytest.raises(InternalContradictionError, match=re.escape(f"entry at index {index} ")):
+            decompose_cuboid(bumped, check=False)
+
     def test_built_output_passes(self):
         assert verify_property_V(build_cuboid(jof(JOF_E2, DIMS_E2))).passed
 
@@ -350,9 +419,14 @@ class TestDecompose:
         with pytest.raises(InternalContradictionError):
             decompose_cuboid(M, check=False)
 
-    def test_large_example_round_trip(self):
-        from conftest import DIMS_E4, JOF_E4
+    def test_unchecked_float_axes_compare_by_value(self):
+        # Not packed: the axes hold a float, so the blocks compare as values.
+        M = Cuboid((2, 2), (0, 1.0, 2, 3))
+        assert decompose_cuboid(M, check=False).steps == ((1, 2), (2, 2))
+        with pytest.raises(InternalContradictionError, match=r"index \[2, 2\]"):
+            decompose_cuboid(Cuboid((2, 2), (0, 1.0, 2, 3.5)), check=False)
 
+    def test_large_example_round_trip(self):
         M = build_cuboid(jof(JOF_E4, DIMS_E4))
         assert M.size == 3628800
         assert decompose_cuboid(M).steps == JOF_E4

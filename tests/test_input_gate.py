@@ -167,6 +167,33 @@ HOSTILE = {
         lambda: str(VerificationFailedError("gate", VerificationReport.fail("x", {"at": [HUGE]}))),
         None, f"gate: x (witness {{'at': [{SHOWN}]}})",
     ),
+    "from_plain bare row": (
+        lambda: SquareMatrix.from_plain([1]), InputError, "^square row must be iterable, got 1$",
+    ),
+    "from_plain bare rows": (
+        lambda: SquareMatrix.from_plain(5), InputError, "^square rows must be iterable, got 5$",
+    ),
+    "square rows None": (
+        lambda: SquareMatrix(1, None), InputError, "^square rows must be iterable, got None$",
+    ),
+    "Cuboid bare entries": (
+        lambda: Cuboid((1,), 5), InputError, "^entries must be iterable, got 5$",
+    ),
+    "SumSystem bare part": (
+        lambda: SumSystem((5,)), InputError, "^part 1 must be iterable, got 5$",
+    ),
+    "SumSystem bare parts": (
+        lambda: SumSystem(5), InputError, "^sum system parts must be iterable, got 5$",
+    ),
+    "SdsSystem bare part": (
+        lambda: SdsSystem((5,), "inclusive"), InputError, "^part 1 must be iterable, got 5$",
+    ),
+    "minkowski_sum bare set": (
+        lambda: minkowski_sum([5]), InputError, "^each set must be iterable, got 5$",
+    ),
+    "minkowski_sum iterator set": (
+        lambda: minkowski_sum([iter([0, 1]), (0, 2)]), None, [0, 1, 2, 3],
+    ),
     "cli sumsys float dims": (
         lambda: _cli('{"dims":[2.0,2.0],"parts":[[0,1],[0,2]]}', "sumsys", "verify", "-"),
         None, 2,
