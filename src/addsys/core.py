@@ -290,8 +290,8 @@ def _require_sum_bounds(sets: Sequence[Sequence[int]], cap: int) -> None:
     if not all(sets):
         raise InputError("minkowski_sum requires nonempty sets")
     _require_cap(prod(map(len, sets)), "sums", cap)
-    ensure_int64(sum(max(s) for s in sets), "largest sum")
-    ensure_int64(sum(min(s) for s in sets), "smallest sum")
+    ensure_int64(sum(map(max, sets)), "largest sum")
+    ensure_int64(sum(map(min, sets)), "smallest sum")
 
 
 def _outer_sums(sets: Iterable[Iterable[int]]) -> list[int]:

@@ -38,7 +38,7 @@ from .core import (
     ensure_int64,
 )
 from .factorisation import JointOrderedFactorisation, _require_buildable, _walk_stages
-from .sumsystem import _build_sum_system, _certificate_first, _walk_stop, verify_sum_system
+from .sumsystem import _build_sum_system, _walk_stop, verify_sum_system
 
 
 @dataclass(frozen=True)
@@ -255,6 +255,14 @@ def _vertex_mismatch(M: Cuboid) -> int | None:
     return None
 
 
+#: Cuboids try the axis walk first only when prod(dims) is at least this
+#: many times sum(dims).  Below it a small reject pays the walk and
+#: ``_vertex_mismatch`` before ``_monotonicity`` names it: an off-axis
+#: monotonicity reject at dims (4, 25) takes about 19 us by the scan and
+#: 65-75 us with the walk first (2-vCPU Xeon, Python 3.11.7).
+_CERTIFICATE_RATIO = 64
+
+
 def verify_reversible(M: Cuboid) -> VerificationReport:
     """All defining checks of a principal reversible cuboid.
 
@@ -268,16 +276,17 @@ def verify_reversible(M: Cuboid) -> VerificationReport:
     palindromic, and vertex sums carry that symmetry to every line.
 
     Two routes give the same report.  When prod(dims) is at least
-    ``sumsystem._CERTIFICATE_RATIO`` times sum(dims) and the root is 0,
-    the sum-system certificate runs on the axes.  If it holds, the
-    outer sums of the axes form a valid cuboid, and the tensor passes
-    when it equals them.  Otherwise every entry before the first
-    mismatch p agrees with a valid cuboid, so the report is the first
-    monotonicity violation in the blocks from p on, or else vertex sums
-    at p.  Every other input gets the ordered scan of all three checks.
+    ``_CERTIFICATE_RATIO`` times sum(dims) and the root is 0, the stage
+    walk runs on the axes.  If it completes, their outer sums form a
+    valid cuboid, and the tensor passes when it equals them.  Otherwise
+    every entry before the first mismatch p agrees with a valid cuboid,
+    so the report is the first monotonicity violation in the blocks
+    from p on, or else vertex sums at p.  Every other input, small
+    cuboids included, gets the ordered scan of all three checks.
     """
     _require_int_entries(M)
-    if M.entries[0] == 0 and _certificate_first(M.dims) and _walk_stop(_axes(M), M.dims) is None:
+    large = prod(M.dims) >= _CERTIFICATE_RATIO * sum(M.dims)
+    if M.entries[0] == 0 and large and _walk_stop(_axes(M), M.dims) is None:
         p = _vertex_mismatch(M)
         if p is None:
             return _pass_if_exact_ints(M)

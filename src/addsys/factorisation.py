@@ -14,9 +14,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress, count
+from itertools import chain, compress, count, islice, repeat
 from math import isqrt, prod
-from operator import ne
+from operator import ge, ne
 from typing import Iterator, Sequence
 
 from .core import InputError, InternalContradictionError, VerificationReport, _are_ints, _shown
@@ -233,44 +233,42 @@ def _walk_stages(axes: Sequence[Sequence[int]], dims: Sequence[int]) -> JointOrd
     every factor is at least 2.  Every axis is consumed, so the factors
     of each direction multiply to its dimension.
     """
-    m = len(dims)
-    consumed = [1] * m
+    consumed = [1] * len(dims)
+    open_dirs = [j for j, n in enumerate(dims) if n > 1]
+    nexts = [axes[j][1] for j in open_dirs]  # each open axis's next value
     product = 1
     steps: list[Step] = []
-    while True:
-        open_dirs = [j for j in range(m) if consumed[j] < dims[j]]
-        if not open_dirs:
-            break
-        nexts = [axes[j][consumed[j]] for j in open_dirs]
-        smallest = min(nexts)
-        if nexts.count(smallest) != 1 or smallest != product:
+    while open_dirs:
+        smallest, fence = sorted(nexts)[:2] if len(nexts) > 1 else (nexts[0], None)
+        if smallest == fence or smallest != product:
             raise InternalContradictionError(
                 f"next value {smallest} is tied or not {product}", smallest
             )
-        j = open_dirs[nexts.index(smallest)]
-        fence = min((x for x in nexts if x != smallest), default=None)
-        base = consumed[j]
-        cursor = base
-        axis = axes[j]
-        while cursor < dims[j] and (fence is None or axis[cursor] < fence):
-            cursor += 1
-        prefix = axis[:base]
-        stretch = axis[:cursor]
-        for l in range(1, -(-cursor // base)):
-            offset = l * product
-            got = stretch[l * base : (l + 1) * base]
-            want = tuple([x + offset for x in prefix])
-            if got != want:
-                t = next(compress(count(), map(ne, got, want)), len(got))
-                found = axis[l * base + t] if l * base + t < dims[j] else None
-                raise InternalContradictionError(
-                    f"direction {j + 1} copy {l} lacks {want[t]}",
-                    _copy_witness(want[t], found, fence, j + 1, l, t, steps, sum(dims)),
-                )
-        factor = cursor // base
+        k = nexts.index(smallest)
+        j = open_dirs[k]
+        axis, base, n = axes[j], consumed[j], dims[j]
+        cursor = n if fence is None else next(
+            compress(count(base), map(ge, islice(axis, base, n), repeat(fence))), n
+        )
+        # every copy A + l * P of this stage at once; i counts from A's end
+        got = axis[base:cursor]
+        offsets = range(product, -(-cursor // base) * product, product)
+        want = tuple([x + o for o in offsets for x in axis[:base]])
+        if got != want:
+            i = next(compress(count(), map(ne, got, want)), len(got))
+            found = axis[base + i] if base + i < n else None
+            l, t = 1 + i // base, i % base
+            raise InternalContradictionError(
+                f"direction {j + 1} copy {l} lacks {want[i]}",
+                _copy_witness(want[i], found, fence, j + 1, l, t, steps, sum(dims)),
+            )
         consumed[j] = cursor
-        product *= factor
-        steps.append((j + 1, factor))
+        if cursor == n:
+            del open_dirs[k], nexts[k]
+        else:
+            nexts[k] = axis[cursor]
+        product *= cursor // base
+        steps.append((j + 1, cursor // base))
     return JointOrderedFactorisation(tuple(steps), tuple(dims))
 
 

@@ -13,12 +13,13 @@ all sizes odd.  The forward map ``_to_sumsys`` mirrors each part about
 The inverse ``_from_sumsys`` pairs elements mirrored about the centre of
 each part (its centre element when inclusive) and takes their spread,
 halved when inclusive.  The four public maps fix the flavour.  Mixed-parity sum
-systems are rejected by both inverse maps.
+systems are rejected by both inverse maps.  ``verify_sds`` checks a
+system through the forward map wherever the map applies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from math import prod
 from operator import sub
@@ -34,14 +35,13 @@ from .core import (
     _frozen,
     _require_cap,
     _require_passed,
-    _require_sum_bounds,
     _shown,
     _sorted_sums,
     as_component_set,
     ensure_int64,
     is_progression,
 )
-from .sumsystem import _certificate_first, _walk_stop, verify_sum_system
+from .sumsystem import verify_sum_system
 
 NON_INCLUSIVE = "non-inclusive"
 INCLUSIVE = "inclusive"
@@ -90,27 +90,24 @@ def _target(s: SdsSystem) -> Progression:
 def verify_sds(s: SdsSystem, cap: int = DEFAULT_CAP) -> VerificationReport:
     """Check the defining property for either flavour.
 
-    Two routes give the same report.  Let dims be the sizes of the
-    signed parts (2n, or 2n + 1 for the inclusive flavour).  When
-    prod(dims) is at least ``sumsystem._CERTIFICATE_RATIO`` times
-    sum(dims), the cap and int64 gates run, the system is mapped
-    unchecked to its sum system, and the system passes if the
-    sum-system certificate holds on the image: the bijection carries
-    a valid image back to a valid system.  A map that is undefined on
-    the input gives no certificate.  Otherwise, and for every smaller
-    system, the ordered scan answers, naming the first violated
-    invariant and its witness.
+    Through the bijection, a signed sum is h * w - lift, where w is the
+    matching sum of the image ``_to_sumsys`` and lift the sum of the
+    parts' maxima.  So when lift is the top of the target and the image
+    exists, ``verify_sum_system`` of the image answers, a failing
+    witness w becoming h * w - lift.  Otherwise the ordered scan sorts
+    every signed sum and names the first violated invariant.
     """
     inclusive = s.flavour == INCLUSIVE
-    if _certificate_first([2 * n + inclusive for n in s.sizes]):
-        _require_sum_bounds([_signed(p, inclusive) for p in s.parts], cap)
-        try:
-            ss = _to_sumsys(s, s.flavour, cap, check=False)
-        except (InputError, Int64OverflowError):
-            ss = None
-        if ss is not None and _walk_stop(ss.parts, ss.dims) is None:
-            return VerificationReport.ok()
-    return _scan_sds(s, cap)
+    h, lift = 2 - inclusive, sum(part[-1] for part in s.parts)
+    # lift against the top of ``_target(s)``, not formed: the cap must see its count first
+    if 2 * lift != (prod(2 * n + inclusive for n in s.sizes) - 1) * h:
+        return _scan_sds(s, cap)
+    try:
+        image = _to_sumsys(s, s.flavour, cap, check=False)
+    except (InputError, Int64OverflowError):  # an element the map cannot carry
+        return _scan_sds(s, cap)
+    report = verify_sum_system(image, cap)
+    return report if report.passed else replace(report, witness=h * report.witness - lift)
 
 
 def _scan_sds(s: SdsSystem, cap: int = DEFAULT_CAP) -> VerificationReport:

@@ -11,7 +11,6 @@ characteristic polynomials must have all-ones coefficients.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from typing import Sequence
 
@@ -61,18 +60,6 @@ def _build_sum_system(jof: JointOrderedFactorisation) -> SumSystem:
     return SumSystem(tuple(tuple(p) for p in parts))
 
 
-#: The certificate answers first only when prod(dims) is at least this
-#: many times sum(dims).  Below it the walk's fixed cost per stage
-#: outweighs the scan's cost per sum: on the 4,353 valid systems with
-#: product <= 48, the walk takes about 30 us per system and the scan
-#: about 20 us (2-vCPU Xeon, Python 3.11.7).
-_CERTIFICATE_RATIO = 64
-
-
-def _certificate_first(dims: Sequence[int]) -> bool:
-    return math.prod(dims) >= _CERTIFICATE_RATIO * sum(dims)
-
-
 def _walk_stop(
     parts: Sequence[Sequence[int]], dims: Sequence[int]
 ) -> InternalContradictionError | None:
@@ -95,24 +82,21 @@ def _walk_stop(
 def verify_sum_system(ss: SumSystem, cap: int = DEFAULT_CAP) -> VerificationReport:
     """Full check: the sum multiset equals 0 .. prod(sizes) - 1, once each.
 
-    Two routes give the same report.  When prod(sizes) is at least
-    ``_CERTIFICATE_RATIO`` times sum(sizes), the cap and int64 gates run
-    and then the stage walk of ``decompose_sum_system`` serves as a
-    certificate: if it completes, the system passes in O(sum(sizes))
-    without forming a sum.  If it stops, its closed stages cover
-    0 .. P - 1 once each, which fixes the first value the scan flags
-    (``factorisation._walk_stages`` gives the rule and its proof), and
-    the system fails ``target-mismatch`` with that witness.  Where the
-    rule is silent, and for every smaller system, the ordered scan sorts
-    all prod(sizes) sums and names the first violated invariant.
+    The cap and int64 gates run, then the stage walk of
+    ``decompose_sum_system`` serves as a certificate: if it completes,
+    the system passes in O(sum(sizes)) without forming a sum.  If it
+    stops, its closed stages cover 0 .. P - 1 once each, which fixes the
+    first value the scan flags (``factorisation._walk_stages`` gives the
+    rule and its proof), and the system fails ``target-mismatch`` with
+    that witness.  Where the rule is silent, the ordered scan sorts all
+    prod(sizes) sums and names the first violated invariant.
     """
-    if _certificate_first(ss.dims):
-        _require_sum_bounds(ss.parts, cap)
-        stop = _walk_stop(ss.parts, ss.dims)
-        if stop is None:
-            return VerificationReport.ok()
-        if stop.witness is not None:
-            return VerificationReport.fail("target-mismatch", witness=stop.witness)
+    _require_sum_bounds(ss.parts, cap)
+    stop = _walk_stop(ss.parts, ss.dims)
+    if stop is None:
+        return VerificationReport.ok()
+    if stop.witness is not None:
+        return VerificationReport.fail("target-mismatch", witness=stop.witness)
     return _scan_sum_system(ss, cap)
 
 

@@ -131,3 +131,17 @@ def e3_system():
     from addsys import JointOrderedFactorisation, build_sum_system
 
     return build_sum_system(JointOrderedFactorisation(JOF_E3, DIMS_E3))
+
+
+@pytest.fixture(scope="session")
+def e4_sds_reject():
+    """The non-inclusive image of E4, its part 5 element 1814428 raised by 2.
+
+    The ordered scan names witness -3386881 for it.
+    """
+    from addsys import SdsSystem, SumSystem, sumsys_to_sds_noninclusive
+
+    s = sumsys_to_sds_noninclusive(SumSystem(E4_PARTS), check=False)
+    parts = [list(p) for p in s.parts]
+    parts[4][3] += 2
+    return SdsSystem(tuple(tuple(p) for p in parts), s.flavour)

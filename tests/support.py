@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive and kept free of library
 internals: plain recursion, itertools expansion, direct property scans
-on integer grids.
+on integer grids.  The one exception, the reference stage walk, shares
+the library's witness rule.
 """
 
 from __future__ import annotations
@@ -11,14 +12,17 @@ import itertools
 import math
 from bisect import bisect_right
 from functools import lru_cache
+from operator import ne
 
 from addsys.core import (
     DEFAULT_CAP,
     InputError,
+    InternalContradictionError,
     SumSystem,
     VerificationFailedError,
     VerificationReport,
 )
+from addsys.factorisation import JointOrderedFactorisation, _copy_witness
 from addsys.sds import INCLUSIVE, NON_INCLUSIVE, SdsSystem, verify_sds
 from addsys.sumsystem import verify_sum_system
 
@@ -489,3 +493,51 @@ def reference_sumsys_to_sds_inclusive(
             out.append(spread // 2)
         parts.append(tuple(out))
     return SdsSystem(tuple(parts), INCLUSIVE)
+
+
+# The stage walk of ``factorisation._walk_stages`` as the library ran it
+# before the walk compared a stage's copies as one tuple and dropped
+# closed directions: one copy at a time, the cursor advanced in Python.
+# The witness rule ``_copy_witness`` is shared, so only the loop is held
+# to this reference.
+
+def walk_reference(axes, dims) -> JointOrderedFactorisation:
+    m = len(dims)
+    consumed = [1] * m
+    product = 1
+    steps: list[tuple[int, int]] = []
+    while True:
+        open_dirs = [j for j in range(m) if consumed[j] < dims[j]]
+        if not open_dirs:
+            break
+        nexts = [axes[j][consumed[j]] for j in open_dirs]
+        smallest = min(nexts)
+        if nexts.count(smallest) != 1 or smallest != product:
+            raise InternalContradictionError(
+                f"next value {smallest} is tied or not {product}", smallest
+            )
+        j = open_dirs[nexts.index(smallest)]
+        fence = min((x for x in nexts if x != smallest), default=None)
+        base = consumed[j]
+        cursor = base
+        axis = axes[j]
+        while cursor < dims[j] and (fence is None or axis[cursor] < fence):
+            cursor += 1
+        prefix = axis[:base]
+        stretch = axis[:cursor]
+        for l in range(1, -(-cursor // base)):
+            offset = l * product
+            got = stretch[l * base : (l + 1) * base]
+            want = tuple([x + offset for x in prefix])
+            if got != want:
+                t = next(itertools.compress(itertools.count(), map(ne, got, want)), len(got))
+                found = axis[l * base + t] if l * base + t < dims[j] else None
+                raise InternalContradictionError(
+                    f"direction {j + 1} copy {l} lacks {want[t]}",
+                    _copy_witness(want[t], found, fence, j + 1, l, t, steps, sum(dims)),
+                )
+        factor = cursor // base
+        consumed[j] = cursor
+        product *= factor
+        steps.append((j + 1, factor))
+    return JointOrderedFactorisation(tuple(steps), tuple(dims))

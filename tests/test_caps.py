@@ -7,19 +7,25 @@ counted element, less than a list of pointers to them would take; with
 the cap equal to the count, it returns.
 """
 
+import math
 import time
 import tracemalloc
 
 import pytest
 
 from addsys.core import CapExceededError, Int64OverflowError, minkowski_sum
-from addsys.cuboid import build_cuboid, cuboid_from_sumsystem
+from addsys.cuboid import _CERTIFICATE_RATIO, build_cuboid, cuboid_from_sumsystem
 from addsys.cuboid import from_json_doc as cuboid_from_json_doc
 from addsys.factorisation import JointOrderedFactorisation
-from addsys.sds import sumsys_to_sds_noninclusive, verify_sds, verify_sds_two_part
+from addsys.sds import (
+    INCLUSIVE,
+    SdsSystem,
+    sumsys_to_sds_noninclusive,
+    verify_sds,
+    verify_sds_two_part,
+)
 from addsys.squares import from_json_doc as square_from_json_doc, reversible_square_even
 from addsys.sumsystem import (
-    _certificate_first,
     base_q_system,
     build_sum_system,
     polynomial_check,
@@ -27,8 +33,8 @@ from addsys.sumsystem import (
 )
 
 SIZE = 10_000
-SCANNED = base_q_system(100, 2)  # dims (100, 100): the ordered scan answers
-CERTIFIED = base_q_system(10, 4)  # dims (10, 10, 10, 10): the certificate answers
+SCANNED = base_q_system(100, 2)  # dims (100, 100): a cuboid takes the ordered scan
+CERTIFIED = base_q_system(10, 4)  # dims (10, 10, 10, 10): a cuboid tries the walk first
 HALVES = sumsys_to_sds_noninclusive(SCANNED, check=False)  # parts of 50: 100 x 100 sums
 WIDE = sumsys_to_sds_noninclusive(
     build_sum_system(JointOrderedFactorisation(((1, 200), (2, 100)), (200, 100))), check=False
@@ -40,8 +46,8 @@ SQUARE_DOC = {"n": 100, "entries": [list(range(r, r + 100)) for r in range(1, SI
 #: Each capped entry point as a function of the cap; each counts SIZE.
 CAPPED = {
     "minkowski_sum": lambda cap: minkowski_sum(SCANNED.parts, cap=cap),
-    "verify_sum_system scan": lambda cap: verify_sum_system(SCANNED, cap=cap),
-    "verify_sum_system certificate": lambda cap: verify_sum_system(CERTIFIED, cap=cap),
+    "verify_sum_system 100x100": lambda cap: verify_sum_system(SCANNED, cap=cap),
+    "verify_sum_system 10x10x10x10": lambda cap: verify_sum_system(CERTIFIED, cap=cap),
     "polynomial_check": lambda cap: polynomial_check(SCANNED, cap=cap),
     "verify_sds": lambda cap: verify_sds(HALVES, cap=cap),
     "verify_sds_two_part": lambda cap: verify_sds_two_part(WIDE, cap=cap),
@@ -54,8 +60,9 @@ CAPPED = {
 
 
 def test_both_verification_routes_are_covered():
-    assert _certificate_first(CERTIFIED.dims)
-    assert not _certificate_first(SCANNED.dims)
+    # the cuboids of the two systems lie on either side of the size rule
+    assert math.prod(CERTIFIED.dims) >= _CERTIFICATE_RATIO * sum(CERTIFIED.dims)
+    assert math.prod(SCANNED.dims) < _CERTIFICATE_RATIO * sum(SCANNED.dims)
 
 
 def _peak_while_refused(call, cap: int) -> int:
@@ -72,6 +79,14 @@ def _peak_while_refused(call, cap: int) -> int:
 def test_refused_below_the_count_before_materialising(call):
     assert _peak_while_refused(call, SIZE - 1) < 8 * SIZE
     call(SIZE)
+
+
+def test_verify_sds_refuses_a_target_beyond_int64_by_the_cap():
+    # balanced ternary, 40 digits: its 3**40 signed sums outnumber int64,
+    # and the cap refuses them before the target progression is formed
+    s = SdsSystem(tuple((3**k,) for k in range(40)), INCLUSIVE)
+    with pytest.raises(CapExceededError, match=f"too many sums: {3**40}, cap is"):
+        verify_sds(s)
 
 
 def test_base_q_system_refuses_before_forming_the_power():

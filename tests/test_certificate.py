@@ -1,10 +1,12 @@
-"""The certificate route of the three verifiers agrees with the ordered scans.
+"""The stage walk and the routes built on it agree with the ordered scans.
 
-The public verifiers accept through the stage walk only on systems whose
-dims product is at least ``_CERTIFICATE_RATIO`` times their sum, so the
-agreement is checked on the private certificate directly for small
-systems, and through the public verifiers on dims above the ratio.  The
-same holds for the witness the stage walk names when a sum system fails.
+Sum systems are verified by the stage walk at every size, the scan
+answering only where the walk names no witness, and sum-and-distance
+systems through the bijection to sum systems; both public verifiers are
+held to their scans on small systems and on large ones.  Cuboids keep a
+size rule and try the walk first only when their dims product is at
+least ``cuboid._CERTIFICATE_RATIO`` times their sum.  The walk itself is
+held to ``support.walk_reference``, the walk it replaced.
 """
 
 import math
@@ -12,9 +14,17 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import addsys.sds
 import addsys.sumsystem
-from addsys.core import InputError, SumSystem, VerificationFailedError, VerificationReport
+from addsys.core import (
+    InputError,
+    InternalContradictionError,
+    SumSystem,
+    VerificationFailedError,
+    VerificationReport,
+)
 from addsys.cuboid import (
+    _CERTIFICATE_RATIO,
     Cuboid,
     _scan_reversible,
     build_cuboid,
@@ -29,7 +39,7 @@ from addsys.factorisation import (
     validate_jof,
 )
 from addsys.sds import (
-    INCLUSIVE,
+    FLAVOURS,
     SdsSystem,
     _scan_sds,
     sumsys_to_sds_inclusive,
@@ -37,7 +47,6 @@ from addsys.sds import (
     verify_sds,
 )
 from addsys.sumsystem import (
-    _certificate_first,
     _scan_sum_system,
     _walk_stop,
     build_sum_system,
@@ -46,19 +55,20 @@ from addsys.sumsystem import (
     verify_sum_system,
 )
 from conftest import E4_PARTS
-from support import divisors_ge2
+from support import divisors_ge2, walk_reference
 
-#: Dims whose product is at least the ratio times their sum, so the
-#: public verifiers try the certificate first.
+#: Dims whose product is at least the cuboid ratio times their sum.
 ABOVE_RATIO = [(2,) * 11, (3,) * 7, (4,) * 6, (8, 8, 8, 8)]
 
 
+def above_ratio(dims) -> bool:
+    return math.prod(dims) >= _CERTIFICATE_RATIO * sum(dims)
+
+
 @st.composite
-def small_jofs(draw):
+def small_jofs(draw, sizes=st.integers(2, 6)):
     dims = draw(
-        st.lists(st.integers(2, 6), min_size=1, max_size=3).filter(
-            lambda d: math.prod(d) <= 240
-        )
+        st.lists(sizes, min_size=1, max_size=3).filter(lambda d: math.prod(d) <= 240)
     )
     options = list(enumerate_jofs(tuple(dims)))
     return options[draw(st.integers(0, len(options) - 1))]
@@ -197,19 +207,18 @@ class TestSumSystem:
     @given(maybe_mutated(large_ratio_jofs()))
     @settings(max_examples=60, deadline=None)
     def test_public_report_equals_scan_above_ratio(self, ss):
-        assert _certificate_first(ss.dims)
         assert verify_sum_system(ss) == _scan_sum_system(ss)
 
     @given(stage_mutated(large_ratio_jofs()))
     @settings(max_examples=300, deadline=None)
     def test_public_report_equals_scan_every_stage(self, ss):
-        assert _certificate_first(ss.dims)
         assert verify_sum_system(ss) == _scan_sum_system(ss)
 
     @given(stage_mutated(small_jofs()))
     @settings(max_examples=300, deadline=None)
     def test_walk_witness_is_scan_witness(self, ss):
         scan = _scan_sum_system(ss)
+        assert verify_sum_system(ss) == scan
         witness = walk_witness(ss)
         if witness == "complete":
             assert scan.passed
@@ -228,7 +237,7 @@ class TestSumSystem:
 
     def test_silent_rule_falls_back_to_scan(self, monkeypatch):
         ss = SumSystem(SILENT_ABOVE_RATIO)
-        assert _certificate_first(ss.dims) and walk_witness(ss) is None
+        assert walk_witness(ss) is None
         calls = []
 
         def counted(*args):
@@ -296,7 +305,7 @@ class TestCuboid:
     @given(mutated_large_cuboids())
     @settings(max_examples=150, deadline=None)
     def test_public_report_equals_scan_above_ratio(self, M):
-        assert _certificate_first(M.dims)
+        assert above_ratio(M.dims)
         assert outcome(verify_reversible, M) == outcome(_scan_reversible, M)
 
     @given(mutated_large_cuboids())
@@ -315,7 +324,7 @@ class TestCuboid:
         M = build_cuboid(JointOrderedFactorisation(tuple((j, 2) for j in range(1, 12)), (2,) * 11))
         for dims in ((1,) + M.dims, M.dims + (1,), M.dims[:5] + (1,) + M.dims[5:]):
             unit = Cuboid(dims, M.entries)
-            assert _certificate_first(dims)
+            assert above_ratio(dims)
             assert verify_reversible(unit).passed
             assert _scan_reversible(unit).passed
             broken = Cuboid(dims, M.entries[:-1] + (M.entries[-1] + 1,))
@@ -331,29 +340,114 @@ class TestCuboid:
 
 
 @st.composite
-def mutated_large_sds(draw):
-    """SDS systems whose sum systems lie above the ratio, maybe mutated."""
-    ss = build_sum_system(draw(large_ratio_jofs()))
-    if ss.dims[0] % 2:
-        s = sumsys_to_sds_inclusive(ss, check=False)
-    else:
-        s = sumsys_to_sds_noninclusive(ss, check=False)
-    if draw(st.booleans()):
-        parts = [list(p) for p in s.parts]
-        i = draw(st.integers(0, len(parts) - 1))
-        k = draw(st.integers(0, len(parts[i]) - 1))
-        # +-2 keeps the parity the non-inclusive map needs; +-1 breaks it
-        parts[i][k] += draw(st.sampled_from([-2, -1, 1, 2]))
-        row = parts[i]
-        assume(row[k] > 0 and all(a < b for a, b in zip(row, row[1:])))
-        s = SdsSystem(tuple(tuple(p) for p in parts), s.flavour)
-    return s
+def mutated_sds(draw, jofs):
+    """SDS systems from built sum systems, maybe mutated; ``jofs`` must
+    give dims of one parity.
+
+    ``max`` moves one part's maximum; ``lift`` moves one maximum up and
+    another down by the same amount, which keeps the sum of the maxima;
+    ``even`` and ``odd`` set an element to a free value below the part's
+    maximum, of the maximum's parity or of the other one, which breaks
+    the parity the non-inclusive map needs; ``flavour`` swaps the
+    flavour.  Parts are sorted again after the moves.
+    """
+    ss = build_sum_system(draw(jofs))
+    maps = (sumsys_to_sds_noninclusive, sumsys_to_sds_inclusive)
+    s = maps[ss.dims[0] % 2](ss, check=False)
+    parts = [list(p) for p in s.parts]
+    flavour = s.flavour
+    kinds = st.sampled_from(["max", "lift", "odd", "even", "even", "flavour"])
+    for kind in draw(st.lists(kinds, max_size=2)):
+        sign = draw(st.sampled_from([-1, 1]))
+        if kind == "max":
+            draw(st.sampled_from(parts))[-1] += sign * draw(st.sampled_from([1, 2, 7]))
+        elif kind == "lift":
+            step = sign * draw(st.sampled_from([1, 2, 7]))
+            draw(st.sampled_from(parts))[-1] += step
+            draw(st.sampled_from(parts))[-1] -= step
+        elif kind == "flavour":
+            flavour = FLAVOURS[1 - FLAVOURS.index(flavour)]
+        else:
+            row = draw(st.sampled_from(parts))
+            top = max(row)
+            free = [x for x in range(1 + (top + (kind == "odd")) % 2, top, 2) if x not in row]
+            if free and len(row) > 1:
+                below = draw(st.sampled_from(sorted(row)[:-1]))
+                row[row.index(below)] = draw(st.sampled_from(free))
+    assume(all(min(p) > 0 and len(set(p)) == len(p) for p in parts))
+    return SdsSystem(tuple(tuple(sorted(p)) for p in parts), flavour)
 
 
 class TestSds:
-    @given(mutated_large_sds())
-    @settings(max_examples=120, deadline=None)
+    @given(mutated_sds(large_ratio_jofs()))
+    @settings(max_examples=200, deadline=None)
     def test_public_report_equals_scan_above_ratio(self, s):
-        inclusive = s.flavour == INCLUSIVE
-        assert _certificate_first([2 * n + inclusive for n in s.sizes])
         assert verify_sds(s) == _scan_sds(s)
+
+    @given(mutated_sds(small_jofs(st.sampled_from([2, 4, 6]))))
+    @settings(max_examples=300, deadline=None)
+    def test_public_report_equals_scan_small_even(self, s):
+        assert verify_sds(s) == _scan_sds(s)
+
+    @given(mutated_sds(small_jofs(st.sampled_from([3, 5]))))
+    @settings(max_examples=300, deadline=None)
+    def test_public_report_equals_scan_small_odd(self, s):
+        assert verify_sds(s) == _scan_sds(s)
+
+    def test_e4_sds_reject_without_scan(self, monkeypatch, e4_sds_reject):
+        def refuse(*args):
+            raise AssertionError("the ordered scan ran")
+
+        monkeypatch.setattr(addsys.sds, "_scan_sds", refuse)
+        monkeypatch.setattr(addsys.sumsystem, "_scan_sum_system", refuse)
+        report = verify_sds(e4_sds_reject)
+        assert report == VerificationReport.fail("target-mismatch", witness=-3_386_881)
+
+
+def walk_outcome(walk, axes, dims):
+    try:
+        return walk(axes, dims)
+    except InternalContradictionError as stop:
+        return str(stop), stop.witness
+
+
+@st.composite
+def unsorted_axes(draw):
+    """Axes a cuboid may hold: a built system's parts with entries
+    swapped or overwritten, so unsorted and repeating, and maybe a unit
+    dimension whose axis is the root alone."""
+    jof = draw(st.one_of(small_jofs(), large_ratio_jofs()))
+    axes = [list(p) for p in build_sum_system(jof).parts]
+    for _ in range(draw(st.integers(1, 4))):
+        row = draw(st.sampled_from(axes))
+        a = draw(st.integers(0, len(row) - 1))
+        if draw(st.booleans()):
+            b = draw(st.integers(0, len(row) - 1))
+            row[a], row[b] = row[b], row[a]
+        else:
+            row[a] = draw(st.integers(0, 2 * max(row) + 2))
+    if draw(st.booleans()):
+        axes.insert(draw(st.integers(0, len(axes))), [0])
+    return tuple(tuple(row) for row in axes)
+
+
+class TestWalkReference:
+    """The walk gives the reference walk's JOF, or its message and witness."""
+
+    @given(st.one_of(small_jofs(), large_ratio_jofs()))
+    @settings(max_examples=100, deadline=None)
+    def test_built_parts(self, jof):
+        parts = build_sum_system(jof).parts
+        assert _walk_stages(parts, jof.dims) == walk_reference(parts, jof.dims) == jof
+
+    @given(st.one_of(stage_mutated(small_jofs()), stage_mutated(large_ratio_jofs())))
+    @settings(max_examples=400, deadline=None)
+    def test_stage_mutated_parts(self, ss):
+        expected = walk_outcome(walk_reference, ss.parts, ss.dims)
+        assert walk_outcome(_walk_stages, ss.parts, ss.dims) == expected
+
+    @given(unsorted_axes())
+    @settings(max_examples=400, deadline=None)
+    def test_unsorted_cuboid_axes(self, axes):
+        dims = tuple(map(len, axes))
+        assert walk_outcome(_walk_stages, axes, dims) == walk_outcome(walk_reference, axes, dims)

@@ -161,6 +161,12 @@ class TestSds:
         code, out, _ = run_cli(capsys, "sds", "verify", "-", stdin=payload)
         assert code == 1
 
+    def test_verify_e4_size_reject(self, capsys, e4_sds_reject):
+        payload = json.dumps({"flavour": e4_sds_reject.flavour, "parts": e4_sds_reject.parts})
+        code, out, _ = run_cli(capsys, "sds", "verify", "-", stdin=payload)
+        assert code == 1
+        assert out == '{"passed":false,"violated_invariant":"target-mismatch","witness":-3386881}\n'
+
     def test_mixed_parity_is_input_error(self, capsys):
         payload = json.dumps({"dims": [2, 3], "parts": [[0, 1], [0, 2, 4]]})
         code, _, err = run_cli(capsys, "sds", "from-sumsys", "-", stdin=payload)
