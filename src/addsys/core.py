@@ -87,12 +87,9 @@ class VerificationReport:
 
     def to_json_doc(self) -> dict:
         doc: dict[str, Any] = {"passed": self.passed}
-        if self.violated_invariant is not None:
-            doc["violated_invariant"] = self.violated_invariant
-        if self.witness is not None:
-            doc["witness"] = self.witness
-        if self.note is not None:
-            doc["note"] = self.note
+        for key in ("violated_invariant", "witness", "note"):
+            if getattr(self, key) is not None:
+                doc[key] = getattr(self, key)
         return doc
 
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import operator
 import struct
-from dataclasses import dataclass
-from itertools import chain, compress, count, product
+from dataclasses import dataclass, field
+from functools import partial
+from itertools import accumulate, chain, compress, count, product
 from math import prod
 from typing import Sequence
 
@@ -47,14 +48,16 @@ class Cuboid:
 
     dims: tuple[int, ...]
     entries: tuple[int, ...]
+    #: Set by ``_of_ints`` alone; ``replace`` and every other route leave it unset.
+    _ints: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Freeze both fields: slices of the entries must be tuples, and
         # the cuboid hashable.  ``tuple(t) is t`` for a tuple.
         object.__setattr__(self, "dims", _frozen(self.dims, "dims"))
         object.__setattr__(self, "entries", _frozen(self.entries, "entries"))
-        # Entries are checked by the reader and ``verify_reversible``: a type
-        # pass costs about 80 ms on an E4 tensor, and built tensors need none.
+        # Entries are not read here.  The verifiers' type passes (about 85 ms on
+        # E4) skip the cuboids ``_of_ints`` marks: built or reader-gated ones.
         if not self.dims or not _are_ints(self.dims, lo=1):
             raise InputError(f"dims must be positive integers, got {_shown(list(self.dims))}")
         total = prod(self.dims)
@@ -62,6 +65,13 @@ class Cuboid:
             raise InputError(
                 f"entry count {len(self.entries)} does not match dims product {total}"
             )
+
+    @classmethod
+    def _of_ints(cls, dims: tuple[int, ...], entries: tuple[int, ...]) -> "Cuboid":
+        """The cuboid of entries already proved ints in 0 .. INT64_MAX, marked so."""
+        M = cls(dims, entries)
+        object.__setattr__(M, "_ints", True)
+        return M
 
     @property
     def order(self) -> int:
@@ -78,12 +88,7 @@ def strides(dims: Sequence[int]) -> tuple[int, ...]:
 
 
 def _strides(dims: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    acc = 1
-    for n in dims:
-        out.append(acc)
-        acc *= n
-    return tuple(out)
+    return tuple(accumulate(dims[:-1], operator.mul, initial=1)) if dims else ()
 
 
 def flat_index(dims: Sequence[int], index: Sequence[int]) -> int:
@@ -91,14 +96,10 @@ def flat_index(dims: Sequence[int], index: Sequence[int]) -> int:
     _require_ints((*dims, *index), "dims and index must hold integers")
     if len(index) != len(dims):
         raise InputError(f"index {list(index)} has wrong length for dims {list(dims)}")
-    flat = 0
-    scale = 1
     for k, n in zip(index, dims):
         if not (1 <= k <= n):
             raise InputError(f"index component {k} outside 1..{n}")
-        flat += (k - 1) * scale
-        scale *= n
-    return flat
+    return sum((k - 1) * s for k, s in zip(index, _strides(dims)))
 
 
 def multi_index(dims: Sequence[int], flat: int) -> tuple[int, ...]:
@@ -131,17 +132,8 @@ def kron_dir(v: Sequence[int], j: int, M: Cuboid) -> Cuboid:
     if not weights:
         raise InputError("weight vector is empty")
     _require_ints(weights, "weights must be non-negative integers", lo=0)
-    if M.entries:
-        ensure_int64(max(weights) * max(M.entries), "scaled entry")
-    block = _strides(M.dims)[j - 1] * M.dims[j - 1]
-    out: list[int] = []
-    for start in range(0, M.size, block):
-        chunk = M.entries[start : start + block]
-        for w in weights:
-            out.extend(w * x for x in chunk)
-    dims = list(M.dims)
-    dims[j - 1] *= len(weights)
-    return Cuboid(tuple(dims), tuple(out))
+    ensure_int64(max(weights) * max(M.entries), "scaled entry")
+    return _stacked(M, j, [partial(operator.mul, w) for w in weights])
 
 
 def building_op(j: int, k: int, M: Cuboid) -> Cuboid:
@@ -151,15 +143,19 @@ def building_op(j: int, k: int, M: Cuboid) -> Cuboid:
     _require_ints((k,), "copy count must be a positive integer", lo=1)
     total = M.size
     ensure_int64((k - 1) * total + max(M.entries), "offset entry")
+    return _stacked(M, j, [partial(operator.add, l * total) for l in range(k)])
+
+
+def _stacked(M: Cuboid, j: int, maps: list) -> Cuboid:
+    """Copies of M stacked along direction j, copy l holding ``maps[l]`` of each entry."""
     block = _strides(M.dims)[j - 1] * M.dims[j - 1]
     out: list[int] = []
-    for start in range(0, total, block):
+    for start in range(0, M.size, block):
         chunk = M.entries[start : start + block]
-        for l in range(k):
-            offset = l * total
-            out.extend(x + offset for x in chunk)
+        for f in maps:
+            out.extend(map(f, chunk))
     dims = list(M.dims)
-    dims[j - 1] *= k
+    dims[j - 1] *= len(maps)
     return Cuboid(tuple(dims), tuple(out))
 
 
@@ -194,7 +190,9 @@ def cuboid_from_sumsystem(
         _require_passed(verify_sum_system(ss, cap=cap), "cuboid_from_sumsystem input")
     _require_cap(ss.target_size, "cuboid entries", cap)
     ensure_int64(sum(p[-1] for p in ss.parts), "largest entry")
-    return Cuboid(ss.dims, tuple(_outer_sums(ss.parts)))
+    # A ``SumSystem``'s parts are gated non-negative ints: so are their sums.
+    make = Cuboid._of_ints if type(ss) is SumSystem else Cuboid
+    return make(ss.dims, tuple(_outer_sums(ss.parts)))
 
 
 def verify_property_V(M: Cuboid) -> VerificationReport:
@@ -205,7 +203,8 @@ def verify_property_V(M: Cuboid) -> VerificationReport:
     not be zero.  Non-integer entries raise InputError, as in
     ``verify_reversible``.
     """
-    _require_int_entries(M)
+    if not M._ints:
+        _require_int_entries(M)
     return _vertex_report(M, _vertex_mismatch(M))
 
 
@@ -219,35 +218,39 @@ def _vertex_mismatch(M: Cuboid) -> int | None:
     """First flat position that is not the closed form of its axes, or None.
 
     Block k of the last direction must be ``inner`` (the outer sums of the
-    other axes) plus offset k of the last axis.  With int axes and every
-    such value in 0 .. INT64_MAX, blocks compare as int64 bytes with
-    ``base + offset * ones`` (``inner`` packed, a 1 per field), exactly:
-    no field carries, a negative entry packs to a field >= 2^63, and an
-    entry outside int64 or not an int fails to pack.  Other blocks take
-    the exact search.  An order-1 tensor is its own axis, so it passes.
+    other axes, less (order - 2) * root) plus offset k of the last axis.
+    With int axes and all such values in 0 .. INT64_MAX (the sums of the
+    axes' minima and maxima, less (order - 1) * root), a block that packs
+    as int64 bytes compares with ``base + offset * ones`` (``inner`` packed
+    when the first block does, a 1 per field), exactly: the fields are the
+    wanted values, a negative entry packs to a field >= 2^63, and an entry
+    outside int64 or not an int fails to pack.  Other blocks take the exact
+    search.  An order-1 tensor is its own axis, so it passes.
     """
     if M.order == 1:
         return None
     entries = M.entries
     axes = _axes(M)
     root = entries[0]
-    offsets = [[a - root for a in axis] for axis in axes]
-    inner = _outer_sums([(root,), *offsets[:-1]])
-    last = offsets[-1]
+    shift = (M.order - 1) * root
+    inner = _outer_sums([(root - shift,), *axes[:-1]])
     width = len(inner)
     row = struct.Struct(f"<{width}q")
     ints = operator.countOf(map(type, chain(*axes)), int) == sum(M.dims)
-    packed = ints and min(inner) >= 0 and min(last) >= 0 and max(inner) + max(last) <= INT64_MAX
-    if packed:
-        base = int.from_bytes(row.pack(*inner), "little")
-        ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * width, "little")
-    for start, offset in zip(count(0, width), last):
+    packed = ints and 0 <= sum(map(min, axes)) - shift and sum(map(max, axes)) - shift <= INT64_MAX
+    base = None
+    for start, offset in zip(count(0, width), [a - root for a in axes[-1]]):
         block = entries[start : start + width]
         try:
-            if packed and row.pack(*block) == (base + offset * ones).to_bytes(8 * width, "little"):
-                continue
+            got = packed and row.pack(*block)
         except struct.error:  # an entry outside int64, or not an int
-            pass
+            got = None
+        if got:
+            if base is None:
+                base = int.from_bytes(row.pack(*inner), "little")
+                ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * width, "little")
+            if got == (base + offset * ones).to_bytes(8 * width, "little"):
+                continue
         want = [x + offset for x in inner]
         p = next(compress(count(start), map(operator.ne, block, want)), None)
         if p is not None:
@@ -282,33 +285,32 @@ def verify_reversible(M: Cuboid) -> VerificationReport:
     every entry before the first mismatch p agrees with a valid cuboid,
     so the report is the first monotonicity violation in the blocks
     from p on, or else vertex sums at p.  Every other input, small
-    cuboids included, gets the ordered scan of all three checks.
+    cuboids included, gets the ordered scan of all three checks.  A
+    cuboid marked by ``Cuboid._of_ints`` skips both type passes.
     """
-    _require_int_entries(M)
+    if not M._ints:
+        _require_int_entries(M)
     large = prod(M.dims) >= _CERTIFICATE_RATIO * sum(M.dims)
     if M.entries[0] == 0 and large and _walk_stop(_axes(M), M.dims) is None:
         p = _vertex_mismatch(M)
         if p is None:
-            return _pass_if_exact_ints(M)
+            return VerificationReport.ok() if M._ints else _pass_if_exact_ints(M)
         return _monotonicity(M, p) or _vertex_report(M, p)
     return _scan_reversible(M)
 
 
 def _scan_reversible(M: Cuboid) -> VerificationReport:
     """The ordered scan: monotonicity, vertex sums, then the entry set."""
-    monotonicity = _monotonicity(M)
-    if monotonicity is not None:
-        return monotonicity
-    vertex = _vertex_report(M, _vertex_mismatch(M))
-    if not vertex.passed:
-        return vertex
+    report = _monotonicity(M) or _vertex_report(M, _vertex_mismatch(M))
+    if not report.passed:
+        return report
     size = M.size
     seen = bytearray(size)
     for x in M.entries:
         if not (0 <= x < size) or seen[x]:
             return VerificationReport.fail("entry-set", witness=x)
         seen[x] = 1
-    return _pass_if_exact_ints(M)
+    return VerificationReport.ok() if M._ints else _pass_if_exact_ints(M)
 
 
 def _require_int_entries(M: Cuboid) -> None:
@@ -404,7 +406,7 @@ def from_json_doc(doc: object, cap: int = DEFAULT_CAP) -> Cuboid:
         raise InputError("'entries' must be a flat list of integers")
     _require_cap(len(entries), "cuboid entries", cap)
     _require_ints(entries, "entries must be non-negative integers", lo=0)
-    return Cuboid(tuple(dims), tuple(entries))
+    return Cuboid._of_ints(tuple(dims), tuple(entries))
 
 
 def to_csv(M: Cuboid) -> str:
@@ -414,16 +416,11 @@ def to_csv(M: Cuboid) -> str:
     the rows; slices are emitted in lexicographic order of the fixed
     indices (k_3, ..., k_m).
     """
-    n1 = M.dims[0]
-    n2 = M.dims[1] if M.order >= 2 else 1
-    fixed_dims = M.dims[2:]
+    n1, width = M.dims[0], prod(M.dims[:2])
     stride_of = _strides(M.dims)[2:]
     blocks = []
-    for fixed in product(*(range(n) for n in fixed_dims)):
+    for fixed in product(*map(range, M.dims[2:])):
         start = sum(k * s for k, s in zip(fixed, stride_of))
-        rows = []
-        for r in range(n2):
-            row = M.entries[start + r * n1 : start + r * n1 + n1]
-            rows.append(",".join(str(x) for x in row))
-        blocks.append("\n".join(rows))
+        rows = (M.entries[r : r + n1] for r in range(start, start + width, n1))
+        blocks.append("\n".join(",".join(map(str, row)) for row in rows))
     return "\n\n".join(blocks) + "\n"

@@ -111,12 +111,8 @@ def verify_sds(s: SdsSystem, cap: int = DEFAULT_CAP) -> VerificationReport:
 
 
 def _scan_sds(s: SdsSystem, cap: int = DEFAULT_CAP) -> VerificationReport:
-    """The ordered scan: sort every signed sum and compare with the target.
-
-    Sums every signed copy (plus 0 for the inclusive flavour) one
-    element per part and compares against the flavour's symmetric
-    target progression.
-    """
+    """The ordered scan: sort every signed sum (0 joins each part when
+    inclusive) and compare with the flavour's symmetric target."""
     signed_parts = [_signed(p, s.flavour == INCLUSIVE) for p in s.parts]
     sums = _sorted_sums(signed_parts, cap)
     return is_progression(sums, _target(s))

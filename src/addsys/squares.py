@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import add
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     DEFAULT_CAP,
@@ -55,6 +55,14 @@ class SquareMatrix:
             _require_ints(row, "entries must be integers")
         if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
             raise InputError(f"need a {self.n} x {self.n} entry grid")
+
+    @classmethod
+    def _of_ints(cls, n: int, rows: Iterable[list[int]]) -> "SquareMatrix":
+        """The square of n int rows of n, from a verified pair: no gate."""
+        M = object.__new__(cls)
+        object.__setattr__(M, "n", n)
+        object.__setattr__(M, "rows", tuple(map(tuple, rows)))
+        return M
 
     @staticmethod
     def from_plain(rows: Sequence[Sequence[int]]) -> "SquareMatrix":
@@ -103,7 +111,7 @@ def _reversible_square(
     n = 2 * len(first) + inclusive
     alpha = [g * x for x in _signed(first, inclusive)[::-1]]
     shifts = [g * c + n * n + 1 for c in _signed(second, inclusive)[::-1]]
-    return SquareMatrix(n, ([(x + c) >> 1 for x in alpha] for c in shifts))
+    return SquareMatrix._of_ints(n, ([(x + c) >> 1 for x in alpha] for c in shifts))
 
 
 def reversible_square_even(
@@ -156,7 +164,8 @@ def associated_magic_square(
     vs, ws = _sign_vector(v, nu, "v"), _sign_vector(w, nu, "w")
     n = 2 * nu
     alpha, beta = _signed(first, False)[::-1], _signed(second, False)[::-1]
-    return SquareMatrix(n, _rank_two_rows(vs + vs[::-1], beta, alpha, ws + ws[::-1], n * n + 1))
+    rows = _rank_two_rows(vs + vs[::-1], beta, alpha, ws + ws[::-1], n * n + 1)
+    return SquareMatrix._of_ints(n, rows)
 
 
 def most_perfect_square(
@@ -178,7 +187,7 @@ def most_perfect_square(
     n = 2 * nu
     sigma, r = (1, -1) * nu, first + tuple(-x for x in first)
     q = second + tuple(-x for x in second)
-    return SquareMatrix(n, _rank_two_rows(sigma, r, q, sigma, n * n + 1))
+    return SquareMatrix._of_ints(n, _rank_two_rows(sigma, r, q, sigma, n * n + 1))
 
 
 def _entry_set_witness(M: SquareMatrix) -> int | None:

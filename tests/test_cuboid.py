@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -5,12 +6,14 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import addsys.cuboid as cuboid_mod
 from addsys.core import (
     InputError,
     InternalContradictionError,
     SumSystem,
     VerificationFailedError,
     VerificationReport,
+    _are_ints,
 )
 from addsys.cuboid import (
     Cuboid,
@@ -240,18 +243,22 @@ EDGES = (2**62, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64)
 
 
 @st.composite
-def closed_form_cuboids(draw):
+def closed_form_cuboids(draw, first_block=False):
     """Cuboids of product <= 64 that meet the vertex sums, then maybe mutated.
 
     Each entry is the root plus one offset per direction.  Roots and
     offsets may be negative or at the int64 edges, or all offsets
     non-negative, as in a built cuboid; an entry may be bumped or
     replaced by a bool or an edge value, and every 0 or 1 may be read as
-    a bool.  Order 1 and unit dims are included.
+    a bool.  Order 1 and unit dims are included.  With ``first_block``
+    a unit dim is spliced in and at least one change lands in the first
+    block of the last direction, before any block has been packed.
     """
     dims = draw(
         st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda d: math.prod(d) <= 64)
     )
+    if first_block:
+        dims.insert(draw(st.integers(0, len(dims))), 1)
     values = st.integers(-3, 40)
     if draw(st.booleans()):
         values |= st.sampled_from(EDGES)
@@ -259,8 +266,9 @@ def closed_form_cuboids(draw):
     offset = st.integers(0, 40) if draw(st.booleans()) else values
     offsets = [[0] + draw(st.lists(offset, min_size=n - 1, max_size=n - 1)) for n in dims]
     entries = [root + sum(cell) for cell in itertools.product(*reversed(offsets))]
-    for _ in range(draw(st.integers(0, 2))):
-        p = draw(st.integers(0, len(entries) - 1))
+    for k in range(draw(st.integers(first_block, 2))):
+        end = math.prod(dims[:-1]) if first_block and k == 0 else len(entries)
+        p = draw(st.integers(0, end - 1))
         entries[p] = draw(st.sampled_from([entries[p] - 1, entries[p] + 1, False, True, *EDGES]))
     if draw(st.booleans()):
         entries = [bool(x) if x in (0, 1) else x for x in entries]
@@ -279,6 +287,22 @@ class TestPropertyV:
             else VerificationReport.fail("vertex-sums", witness=list(multi_index(M.dims, p)))
         )
         assert verify_property_V(M) == expected
+
+    @given(closed_form_cuboids(first_block=True))
+    @settings(max_examples=300, deadline=None)
+    def test_first_block_faults_and_unit_dims_match_the_oracle(self, M):
+        assert _vertex_mismatch(M) == vertex_reference(M.dims, M.entries)
+
+    @pytest.mark.parametrize("dims", [(1, 6), (6, 1), (2, 1, 3), (1, 1, 4), (3, 2, 1, 1)])
+    def test_unit_dims_every_single_fault(self, dims):
+        # 0 .. size - 1 row-major is the mixed-radix cuboid, units or not
+        assert _vertex_mismatch(Cuboid(dims, tuple(range(math.prod(dims))))) is None
+        for p in range(math.prod(dims)):
+            for x in (p + 1, -1, 2**63, True):
+                entries = list(range(math.prod(dims)))
+                entries[p] = x
+                M = Cuboid(dims, tuple(entries))
+                assert _vertex_mismatch(M) == vertex_reference(dims, entries)
 
     def test_e4_interior_fault_named_by_both_routes(self):
         M = build_cuboid(jof(JOF_E4, DIMS_E4))
@@ -479,3 +503,101 @@ class TestSerialisation:
 
     def test_csv_vector(self):
         assert to_csv(Cuboid((3,), (0, 1, 2))) == "0,1,2\n"
+
+    def test_csv_order_four_slices_by_fixed_index_order(self):
+        dims = (2, 3, 2, 2)
+        M = Cuboid(dims, tuple(range(24)))
+        slices = []
+        for k3, k4 in itertools.product(range(1, 3), range(1, 3)):
+            rows = [
+                ",".join(str(M.entries[flat_index(dims, (k1, k2, k3, k4))]) for k1 in (1, 2))
+                for k2 in (1, 2, 3)
+            ]
+            slices.append("\n".join(rows))
+        assert to_csv(M) == "\n\n".join(slices) + "\n"
+
+
+@st.composite
+def built_jofs(draw):
+    """Any JOF of any dims vector of product <= 48."""
+    dims = draw(st.sampled_from([d for _, d in dims_vectors_up_to(48)]))
+    return draw(st.sampled_from(list(enumerate_jofs(dims))))
+
+
+class LooseSumSystem(SumSystem):
+    """A ``SumSystem`` subclass: the cuboid tabulated from it is not marked."""
+
+
+class TestIntEntryMarker:
+    """Cuboids from ``Cuboid._of_ints`` skip the verifiers' type passes.
+
+    Only the tabulating builders and the JSON reader may mark one, and
+    the mark must never change what a cuboid equals, hashes or shows.
+    """
+
+    @given(built_jofs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_marked_only_where_entries_are_proved_ints(self, jof_, data):
+        M = build_cuboid(jof_)
+        ss = build_sum_system(jof_)
+        size = M.size
+        stray = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=size, max_size=size))
+        marked = [
+            M,
+            cuboid_from_sumsystem(ss, check=data.draw(st.booleans())),
+            from_json_doc(to_json_doc(M)),
+            from_json_doc({"dims": list(M.dims), "entries": stray}),
+        ]
+        for out in marked:
+            assert out._ints and _are_ints(out.entries, lo=0)
+        j = data.draw(st.integers(1, M.order))
+        unmarked = [
+            Cuboid(M.dims, M.entries),
+            dataclasses.replace(M),
+            dataclasses.replace(M, entries=tuple(stray)),
+            kron_dir(data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)), j, M),
+            building_op(j, data.draw(st.integers(1, 3)), M),
+            cuboid_from_sumsystem(LooseSumSystem(ss.parts)),
+        ]
+        for out in unmarked:
+            assert not out._ints
+        for out in marked[:3]:
+            plain = Cuboid(out.dims, out.entries)
+            assert out == plain and hash(out) == hash(plain) and repr(out) == repr(plain)
+            assert verify_reversible(out) == verify_reversible(plain) == VerificationReport.ok()
+        assert "_ints" not in repr(M)
+        with pytest.raises(TypeError):
+            Cuboid(M.dims, M.entries, True)
+
+    @pytest.fixture
+    def no_type_pass(self, monkeypatch):
+        def refuse(M):
+            raise AssertionError("entry type pass")
+
+        monkeypatch.setattr(cuboid_mod, "_require_int_entries", refuse)
+        monkeypatch.setattr(cuboid_mod, "_pass_if_exact_ints", refuse)
+
+    @pytest.mark.parametrize(
+        "steps, dims",
+        [
+            (tuple((j, 2) for j in range(1, 12)), (2,) * 11),  # the axis walk first
+            (JOF_E1A, DIMS_E1),  # below the ratio: the ordered scan
+        ],
+        ids=["walk", "scan"],
+    )
+    def test_marked_cuboids_never_run_a_type_pass(self, no_type_pass, steps, dims):
+        walk = math.prod(dims) >= cuboid_mod._CERTIFICATE_RATIO * sum(dims)
+        assert walk == (len(dims) == 11)
+        M = build_cuboid(jof(steps, dims))
+        doc = to_json_doc(M)
+        assert verify_reversible(M).passed
+        assert verify_property_V(M).passed
+        assert verify_reversible(from_json_doc(doc)).passed
+        assert decompose_cuboid(from_json_doc(doc)).steps == steps
+        doc["entries"][-1] += 1
+        assert not verify_reversible(from_json_doc(doc)).passed
+        # an unmarked copy still takes both passes
+        with pytest.raises(AssertionError, match="entry type pass"):
+            verify_reversible(Cuboid(M.dims, M.entries))
+        with pytest.raises(AssertionError, match="entry type pass"):
+            verify_property_V(Cuboid(M.dims, M.entries))

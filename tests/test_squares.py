@@ -3,6 +3,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import addsys.squares as squares_mod
 from addsys.core import InputError, VerificationFailedError
 from addsys.factorisation import enumerate_jofs
 from addsys.sds import sumsys_to_sds_noninclusive, sumsys_to_sds_inclusive
@@ -265,8 +266,8 @@ def derived_parts(side, flavour):
     return tuple(system.parts for system in derived_sds_systems(side, flavour))
 
 
-def draw_square(data):
-    """A library square of a drawn family, with its reference rows."""
+def draw_built(data):
+    """A drawn family, a valid pair and signs for it, and the library square."""
     family = data.draw(st.sampled_from(sorted(FAMILIES)))
     build, sides = FAMILIES[family]
     side = data.draw(st.sampled_from(sides))
@@ -276,7 +277,13 @@ def draw_square(data):
     if family == "associated":
         half = (1, -1) * (len(first) // 2)
         signs = (data.draw(st.permutations(half)), data.draw(st.permutations(half)))
-    return build(first, second, *signs), reference_square(family, first, second, *signs)
+    return family, (first, second, *signs), build(first, second, *signs)
+
+
+def draw_square(data):
+    """A library square of a drawn family, with its reference rows."""
+    family, args, square = draw_built(data)
+    return square, reference_square(family, *args)
 
 
 def doubled(rows):
@@ -302,6 +309,39 @@ def mutate(data, rows):
         for row in rows:
             row[j], row[l] = row[l], row[j]
     return rows
+
+
+class TestBuiltSquaresSkipTheGate:
+    """The builders construct their squares without the public entry gate.
+
+    Their rows come from a pair ``verify_sds`` has just passed, so the
+    gate could never refuse them: these tests hold the builders to that.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_public_gate_and_ordered_scan_accept_every_build(self, data):
+        family, _, square = draw_built(data)
+        kind = "reversible" if family.startswith("reversible") else family
+        assert SquareMatrix(square.n, square.rows) == square
+        assert SquareMatrix.from_plain(square.plain_rows()) == square
+        assert square_scan_report(doubled(square.rows), kind)[:2] == (None, None)
+
+    def test_builders_never_call_the_gate(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("square entry gate")
+
+        monkeypatch.setattr(squares_mod, "_require_ints", refuse)
+        even, odd = derived_parts(8, "non-inclusive")[0], derived_parts(7, "inclusive")[0]
+        for build, pair, kind in (
+            (reversible_square_even, even, "reversible"),
+            (reversible_square_odd, odd, "reversible"),
+            (associated_magic_square, even, "associated"),
+            (most_perfect_square, even, "most-perfect"),
+        ):
+            assert verify_square(build(*pair), kind).passed
+        with pytest.raises(AssertionError, match="square entry gate"):
+            SquareMatrix.from_plain([[1]])
 
 
 class TestAgainstEntryFormulas:
