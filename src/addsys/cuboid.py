@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, compress, count, product
 from math import prod
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     DEFAULT_CAP,
@@ -178,9 +178,7 @@ def axis_sets(M: Cuboid, check: bool = True) -> SumSystem:
     return SumSystem(tuple(_axes(M)))
 
 
-def cuboid_from_sumsystem(
-    ss: SumSystem, cap: int = DEFAULT_CAP, check: bool = True
-) -> Cuboid:
+def cuboid_from_sumsystem(ss: SumSystem, cap: int = DEFAULT_CAP, check: bool = True) -> Cuboid:
     """Tabulate a sum system as the tensor of all elementwise sums.
 
     Inverse of ``axis_sets``: entry at multiindex k is the sum of the
@@ -198,10 +196,9 @@ def cuboid_from_sumsystem(
 def verify_property_V(M: Cuboid) -> VerificationReport:
     """Vertex cross sum property, checked through its closed form.
 
-    Equivalent to requiring every entry to equal the sum of its axis
-    projections minus (order - 1) times the root entry; the root need
-    not be zero.  Non-integer entries raise InputError, as in
-    ``verify_reversible``.
+    Every entry must equal the sum of its axis projections less
+    (order - 1) times the root, which need not be 0.  Non-integer
+    entries raise InputError, as in ``verify_reversible``.
     """
     if not M._ints:
         _require_int_entries(M)
@@ -215,20 +212,26 @@ def _vertex_report(M: Cuboid, p: int | None) -> VerificationReport:
 
 
 def _vertex_mismatch(M: Cuboid) -> int | None:
-    """First flat position that is not the closed form of its axes, or None.
+    """First flat position that is not the closed form of its axes, or None."""
+    return next(_dirty_spans(M), (None,))[0]
 
-    Block k of the last direction must be ``inner`` (the outer sums of the
-    other axes, less (order - 2) * root) plus offset k of the last axis.
-    With int axes and all such values in 0 .. INT64_MAX (the sums of the
-    axes' minima and maxima, less (order - 1) * root), a block that packs
-    as int64 bytes compares with ``base + offset * ones`` (``inner`` packed
-    when the first block does, a 1 per field), exactly: the fields are the
-    wanted values, a negative entry packs to a field >= 2^63, and an entry
-    outside int64 or not an int fails to pack.  Other blocks take the exact
-    search.  An order-1 tensor is its own axis, so it passes.
+
+def _dirty_spans(M: Cuboid) -> Iterator[tuple[int, int]]:
+    """Flat spans (lo, hi), ascending, outside which M is the closed form of its axes.
+
+    Block k of the last direction must be ``inner`` (the outer sums of
+    the other axes, less (order - 2) * root) plus offset k of the last
+    axis.  With int axes and all such values in 0 .. INT64_MAX (the sums
+    of the axes' minima and maxima, less (order - 1) * root), a block is
+    clean, exactly, when it packs as int64 bytes equal to ``base + offset
+    * ones`` (``inner`` packed once, a 1 per field): a negative entry
+    packs to a field >= 2^63, and an entry outside int64 or not an int
+    fails to pack.  The first span runs from the first mismatch p, found
+    by an exact search, to the end of its block; each later span is a
+    whole block that is not clean.  An order-1 tensor has no spans.
     """
     if M.order == 1:
-        return None
+        return
     entries = M.entries
     axes = _axes(M)
     root = entries[0]
@@ -238,7 +241,7 @@ def _vertex_mismatch(M: Cuboid) -> int | None:
     row = struct.Struct(f"<{width}q")
     ints = operator.countOf(map(type, chain(*axes)), int) == sum(M.dims)
     packed = ints and 0 <= sum(map(min, axes)) - shift and sum(map(max, axes)) - shift <= INT64_MAX
-    base = None
+    base = p = None
     for start, offset in zip(count(0, width), [a - root for a in axes[-1]]):
         block = entries[start : start + width]
         try:
@@ -251,18 +254,16 @@ def _vertex_mismatch(M: Cuboid) -> int | None:
                 ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * width, "little")
             if got == (base + offset * ones).to_bytes(8 * width, "little"):
                 continue
-        want = [x + offset for x in inner]
-        p = next(compress(count(start), map(operator.ne, block, want)), None)
+        if p is None:  # no mismatch yet: search this block
+            want = [x + offset for x in inner]
+            p = next(compress(count(start), map(operator.ne, block, want)), None)
         if p is not None:
-            return p
-    return None
+            yield max(p, start), start + width
 
 
 #: Cuboids try the axis walk first only when prod(dims) is at least this
-#: many times sum(dims).  Below it a small reject pays the walk and
-#: ``_vertex_mismatch`` before ``_monotonicity`` names it: an off-axis
-#: monotonicity reject at dims (4, 25) takes about 19 us by the scan and
-#: 65-75 us with the walk first (2-vCPU Xeon, Python 3.11.7).
+#: many times sum(dims): an off-axis monotonicity reject at dims (4, 25)
+#: takes 19 us by the scan, 65-75 us walk first (2-vCPU Xeon, Python 3.11.7).
 _CERTIFICATE_RATIO = 64
 
 
@@ -279,29 +280,33 @@ def verify_reversible(M: Cuboid) -> VerificationReport:
     palindromic, and vertex sums carry that symmetry to every line.
 
     Two routes give the same report.  When prod(dims) is at least
-    ``_CERTIFICATE_RATIO`` times sum(dims) and the root is 0, the stage
-    walk runs on the axes.  If it completes, their outer sums form a
-    valid cuboid, and the tensor passes when it equals them.  Otherwise
-    every entry before the first mismatch p agrees with a valid cuboid,
-    so the report is the first monotonicity violation in the blocks
-    from p on, or else vertex sums at p.  Every other input, small
-    cuboids included, gets the ordered scan of all three checks.  A
-    cuboid marked by ``Cuboid._of_ints`` skips both type passes.
+    ``_CERTIFICATE_RATIO`` times sum(dims) and the root is 0, the stage walk
+    runs on the axes.  If it completes, their outer sums V form a valid
+    cuboid, and the tensor passes when it equals V.  Otherwise the report is
+    the first monotonicity violation among the pairs touching a span of
+    ``_dirty_spans``, or else vertex sums at its first entry p.  No other
+    pair comes first: a pair in direction j < m lies in one last-direction
+    block, as s_j * n_j divides the block width, and one in direction m
+    joins blocks k and k + 1; a pair whose ends both equal V increases; and
+    every entry outside the spans, p's predecessors included, equals V.
+    Other inputs, small cuboids included, get the ordered scan.  A cuboid
+    marked by ``Cuboid._of_ints`` skips both type passes.
     """
     if not M._ints:
         _require_int_entries(M)
     large = prod(M.dims) >= _CERTIFICATE_RATIO * sum(M.dims)
     if M.entries[0] == 0 and large and _walk_stop(_axes(M), M.dims) is None:
-        p = _vertex_mismatch(M)
-        if p is None:
+        spans = _dirty_spans(M)
+        first = next(spans, None)
+        if first is None:
             return VerificationReport.ok() if M._ints else _pass_if_exact_ints(M)
-        return _monotonicity(M, p) or _vertex_report(M, p)
+        return _monotonicity(M, chain((first,), spans)) or _vertex_report(M, first[0])
     return _scan_reversible(M)
 
 
 def _scan_reversible(M: Cuboid) -> VerificationReport:
     """The ordered scan: monotonicity, vertex sums, then the entry set."""
-    report = _monotonicity(M) or _vertex_report(M, _vertex_mismatch(M))
+    report = _monotonicity(M, ((0, M.size),)) or _vertex_report(M, _vertex_mismatch(M))
     if not report.passed:
         return report
     size = M.size
@@ -345,29 +350,37 @@ def _non_int_entry(M: Cuboid) -> InputError:
     )
 
 
-def _monotonicity(M: Cuboid, first: int = 0) -> VerificationReport | None:
-    """The first line pair, direction by direction, that does not increase.
-
-    Pairs with both positions before ``first`` are known to increase.  A
-    pair lies within one block of its direction, so every other pair
-    lies in the block holding ``first`` or a later one.
-    """
+def _monotonicity(M: Cuboid, spans: Iterable[tuple[int, int]]) -> VerificationReport | None:
+    """The first line pair, direction by direction, that does not increase,
+    of the pairs (i, i + s_j) touching ``spans``, ascending flat ranges
+    (lo, hi); direction 1 asks for a span only when it has read up to it."""
     entries = M.entries
     for j, (step, n) in enumerate(zip(_strides(M.dims), M.dims), start=1):
-        block = step * n
-        for start in range(first // block * block, M.size, block):
-            chunk = entries[start : start + block]
-            if not all(map(operator.lt, chunk, chunk[step:])):
-                for i, (a, b) in enumerate(zip(chunk, chunk[step:])):
-                    if a >= b:
-                        return VerificationReport.fail(
-                            "monotonicity",
-                            witness={
-                                "direction": j,
-                                "index": list(multi_index(M.dims, start + i)),
-                            },
-                        )
+        done, kept = 0, []  # pairs from i < done were read for an earlier span
+        for lo, hi in spans:
+            i = _descent(entries, step, step * n, lo - step if lo - step > done else done, hi)
+            if i is not None:
+                where = {"direction": j, "index": list(multi_index(M.dims, i))}
+                return VerificationReport.fail("monotonicity", witness=where)
+            done = hi
+            kept.append((lo, hi))
+        spans = kept
     return None
+
+
+def _descent(entries, step: int, block: int, lo: int, hi: int) -> int | None:
+    """First i in lo .. hi - 1 whose pair (i, i + step) lies in one block
+    of ``block`` entries and does not increase, or None."""
+    head = lo - lo % block + block  # the end of lo's block
+    chunk = entries[lo : head if head < hi + step else hi + step]
+    if all(map(operator.lt, chunk, chunk[step:])):
+        for lo in range(head, hi, block):
+            chunk = entries[lo : lo + block]
+            if not all(map(operator.lt, chunk, chunk[step:])):
+                break
+        else:
+            return None
+    return next(compress(count(lo), map(operator.ge, chunk, chunk[step:])))
 
 
 def decompose_cuboid(M: Cuboid, check: bool = True) -> JointOrderedFactorisation:

@@ -3,28 +3,35 @@
 Everything here is deliberately naive and kept free of library
 internals: plain recursion, itertools expansion, direct property scans
 on integer grids.  The one exception, the reference stage walk, shares
-the library's witness rule.
+the library's witness rule.  The golden corpus's inputs come from here
+too, with ``cuboid_outcomes``, which records what the public cuboid
+calls return on them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from bisect import bisect_right
 from functools import lru_cache
 from operator import ne
 
 from addsys.core import (
     DEFAULT_CAP,
+    CapExceededError,
     InputError,
+    Int64OverflowError,
     InternalContradictionError,
     SumSystem,
     VerificationFailedError,
     VerificationReport,
 )
+from addsys.cuboid import decompose_cuboid, verify_property_V, verify_reversible
 from addsys.factorisation import JointOrderedFactorisation, _copy_witness
 from addsys.sds import INCLUSIVE, NON_INCLUSIVE, SdsSystem, verify_sds
 from addsys.sumsystem import verify_sum_system
+from conftest import DIMS_E4, E4_PARTS
 
 
 @lru_cache(maxsize=None)
@@ -541,3 +548,195 @@ def walk_reference(axes, dims) -> JointOrderedFactorisation:
         product *= factor
         steps.append((j + 1, factor))
     return JointOrderedFactorisation(tuple(steps), tuple(dims))
+
+
+# Cuboids: the ordered scan one multi-index at a time, and the cuboid slice
+# of the golden corpus.
+
+def cuboid_scan_reference(dims, entries) -> VerificationReport:
+    """``verify_reversible``'s report by a naive scan over multi-indices.
+
+    In the documented order: monotonicity direction by direction, each
+    pair named by its lower end in row-major order (direction 1
+    fastest); then vertex sums, every entry against the sum of its axis
+    projections less (m - 1) times the root; then the entry set, the
+    first entry outside 0 .. size - 1 or seen before.  Entries are read
+    as their values, so ``True`` counts as 1.
+    """
+    dims = tuple(dims)
+    m, size = len(dims), len(entries)
+    strides = [math.prod(dims[:j]) for j in range(m)]
+    ranges = (range(1, n + 1) for n in reversed(dims))
+    indices = [index[::-1] for index in itertools.product(*ranges)]
+    for j in range(m):
+        for p, index in enumerate(indices):
+            if index[j] < dims[j] and entries[p] >= entries[p + strides[j]]:
+                witness = {"direction": j + 1, "index": list(index)}
+                return VerificationReport.fail("monotonicity", witness=witness)
+    root = entries[0]
+    for p, index in enumerate(indices):
+        projections = sum(entries[(k - 1) * s] for k, s in zip(index, strides))
+        if entries[p] != projections - (m - 1) * root:
+            return VerificationReport.fail("vertex-sums", witness=list(index))
+    seen = set()
+    for x in entries:
+        if not 0 <= x < size or x in seen:
+            return VerificationReport.fail("entry-set", witness=x)
+        seen.add(x)
+    return VerificationReport.ok()
+
+
+def jof_parts(steps, dims) -> list[list[int]]:
+    """The sum system of a JOF: part j grows by copies offset by the running product."""
+    parts = [[0] for _ in dims]
+    scale = 1
+    for j, f in steps:
+        parts[j - 1] = [x + l * scale for l in range(f) for x in parts[j - 1]]
+        scale *= f
+    return parts
+
+
+def outer_entries(parts) -> list[int]:
+    """Row-major elementwise sums of the parts, part 1 fastest."""
+    entries = [0]
+    for part in parts:
+        entries = [a + b for b in part for a in entries]
+    return entries
+
+
+def random_steps(rng, dims):
+    """The steps of a random JOF of ``dims`` (each >= 2), drawn one by one."""
+    quotients, steps, last = list(dims), [], None
+    while any(q > 1 for q in quotients):
+        open_dirs = [j for j, q in enumerate(quotients) if q > 1 and j != last]
+        if not open_dirs:  # only the last direction is left: start again
+            quotients, steps, last = list(dims), [], None
+            continue
+        j = rng.choice(open_dirs)
+        f = rng.choice(divisors_ge2(quotients[j]))
+        quotients[j] //= f
+        steps.append((j + 1, f))
+        last = j
+    return tuple(steps)
+
+
+#: Dims of the corpus's certificate-route cuboids, at least 64 times their sum.
+GOLDEN_RATIO_DIMS = [
+    (2,) * 11, (3,) * 7, (4,) * 6, (8, 8, 8, 8), (16, 16, 16), (5,) * 5, (130, 130),
+]
+#: Entries no valid cuboid holds: int64 edges, beyond int64, negative, bool, float.
+GOLDEN_ODD_VALUES = [2**63 - 1, 2**63, -(2**63), 2**70, -1, True, False, 1.0, 2.5]
+GOLDEN_SEED = 18
+
+
+def _golden_mutation(rng, kind, dims, entries) -> None:
+    """Apply one corpus mutation to ``entries`` in place."""
+    size = len(entries)
+    width = size // dims[-1]
+    p = rng.randrange(size)
+    if kind == "swap":
+        q = rng.randrange(size)
+        entries[p], entries[q] = entries[q], entries[p]
+    elif kind == "swap-near":
+        q = min(size - 1, p + rng.choice([1, dims[0], width - 1, width, width + 1]))
+        entries[p], entries[q] = entries[q], entries[p]
+    elif kind == "bump":
+        entries[p] += rng.choice([-2, -1, 1, 2])
+    elif kind == "tie":
+        entries[p] = entries[p - 1]
+    elif kind == "odd":
+        entries[p] = rng.choice(GOLDEN_ODD_VALUES)
+    elif kind == "bool":
+        entries[p] = entries[p] == 1 if entries[p] in (0, 1) else bool(entries[p] % 2)
+    elif kind == "root":
+        entries[0] = rng.choice([1, -1, True])
+    elif kind == "shift":
+        entries[:] = [x + 1 for x in entries]
+    elif kind == "block":
+        k, src = rng.randrange(dims[-1]), rng.randrange(dims[-1])
+        entries[k * width : (k + 1) * width] = entries[src * width : (src + 1) * width]
+    elif kind == "inner":  # +-1 off every axis where no line stops increasing
+        strides = [math.prod(dims[:j]) for j in range(len(dims))]
+        for p in rng.sample(range(size), min(size, 40)):
+            index = [p // s % n for s, n in zip(strides, dims)]
+            ups = [entries[p + s] for s, k, n in zip(strides, index, dims) if k < n - 1]
+            downs = [entries[p - s] for s, k in zip(strides, index) if k > 0]
+            x = entries[p]
+            if sum(k > 0 for k in index) < 2:
+                continue
+            if all(y > x + 1 for y in ups) or all(y < x - 1 for y in downs):
+                entries[p] = x + 1 if all(y > x + 1 for y in ups) else x - 1
+                return
+
+
+#: The mutations, "inner" (a vertex-sums fault alone) drawn twice as often.
+GOLDEN_KINDS = [
+    "swap", "swap-near", "bump", "tie", "odd", "bool", "root", "shift", "block", "inner", "inner",
+]
+
+
+def golden_cuboids(seed: int = GOLDEN_SEED):
+    """The cuboid slice of the golden corpus: (label, dims, entries) triples.
+
+    About 2,000 cuboids from a fixed seed: 1,000 of dims product at most
+    200, which the ordered scan answers, and 1,000 above the certificate
+    ratio, each valid or with one to three mutations and sometimes a
+    unit dimension; then four of E4's size: the built cuboid, one inner
+    entry raised by 1, a direction-1 tie with a later block bumped, and
+    a later block copied over another.
+    """
+    rng = random.Random(seed)
+    small = [dims for _, dims in dims_vectors_up_to(200) if len(dims) <= 4]
+    for k in range(2000):
+        dims = rng.choice(small) if k < 1000 else rng.choice(GOLDEN_RATIO_DIMS)
+        entries = outer_entries(jof_parts(random_steps(rng, dims), dims))
+        kinds = [] if rng.random() < 0.15 else rng.choices(GOLDEN_KINDS, k=rng.randint(1, 3))
+        for kind in kinds:
+            _golden_mutation(rng, kind, dims, entries)
+        if rng.random() < 0.1:
+            at = rng.randrange(len(dims) + 1)
+            dims = dims[:at] + (1,) + dims[at:]
+            kinds.append(f"unit@{at}")
+        yield f"{k} {','.join(kinds) or 'valid'}", dims, entries
+    base = outer_entries(E4_PARTS)
+    width = len(base) // DIMS_E4[-1]
+    yield "e4 valid", DIMS_E4, base
+    inner = 6 + 2 * 28 + 3 * 560 + 4 * 16800 + 5 * width  # index [7, 3, 4, 5, 6]
+    tie = 5 * width + 29  # index [2, 2, 1, 1, 6] takes the value at [1, 2, 1, 1, 6]
+    later = inner + 3 * width  # index [7, 3, 4, 5, 9]
+    for label, changes in [
+        ("e4 inner bump", [(inner, base[inner] + 1)]),
+        ("e4 tie then bump", [(tie, base[tie - 1]), (later, base[later] + 1)]),
+        # the tenth block takes the sixth's entries, all but its axis entry
+        ("e4 block copy", [(k, base[k - 4 * width]) for k in range(9 * width + 1, 10 * width)]),
+    ]:
+        entries = list(base)
+        for at, x in changes:
+            entries[at] = x
+        yield label, DIMS_E4, entries
+
+
+#: The documented errors a cuboid verifier or decomposer may raise.
+CUBOID_ERRORS = (
+    InputError, Int64OverflowError, CapExceededError, VerificationFailedError,
+    InternalContradictionError,
+)
+
+
+def cuboid_outcomes(M) -> list:
+    """``verify_reversible``, ``decompose_cuboid``, its unchecked form and
+    ``verify_property_V`` on M: a report's JSON, a JOF's text, or
+    [exception type, message]."""
+
+    def unchecked(M):
+        return decompose_cuboid(M, check=False)
+
+    out = []
+    for call in (verify_reversible, decompose_cuboid, unchecked, verify_property_V):
+        try:
+            result = call(M)
+        except CUBOID_ERRORS as exc:
+            out.append([type(exc).__name__, str(exc)])
+        else:
+            out.append(result.as_text() if hasattr(result, "as_text") else result.to_json_doc())
+    return out

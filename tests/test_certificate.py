@@ -5,8 +5,10 @@ answering only where the walk names no witness, and sum-and-distance
 systems through the bijection to sum systems; both public verifiers are
 held to their scans on small systems and on large ones.  Cuboids keep a
 size rule and try the walk first only when their dims product is at
-least ``cuboid._CERTIFICATE_RATIO`` times their sum.  The walk itself is
-held to ``support.walk_reference``, the walk it replaced.
+least ``cuboid._CERTIFICATE_RATIO`` times their sum; above it they are
+held to the ordered scan and to ``support.cuboid_scan_reference``, which
+shares no code with the library.  The walk itself is held to
+``support.walk_reference``, the walk it replaced.
 """
 
 import math
@@ -14,6 +16,7 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import addsys.cuboid
 import addsys.sds
 import addsys.sumsystem
 from addsys.core import (
@@ -54,8 +57,8 @@ from addsys.sumsystem import (
     polynomial_check,
     verify_sum_system,
 )
-from conftest import E4_PARTS
-from support import divisors_ge2, walk_reference
+from conftest import DIMS_E4, E4_PARTS, JOF_E4
+from support import cuboid_scan_reference, divisors_ge2, walk_reference
 
 #: Dims whose product is at least the cuboid ratio times their sum.
 ABOVE_RATIO = [(2,) * 11, (3,) * 7, (4,) * 6, (8, 8, 8, 8)]
@@ -75,16 +78,20 @@ def small_jofs(draw, sizes=st.integers(2, 6)):
 
 
 @st.composite
-def large_ratio_jofs(draw):
-    """A random JOF of dims above the ratio, drawn step by step."""
-    dims = draw(st.sampled_from(ABOVE_RATIO))
+def large_ratio_jofs(draw, dims=st.sampled_from(ABOVE_RATIO), first=None):
+    """A random JOF of dims above the ratio, drawn step by step; ``first``,
+    a 0-based direction (-1 for the last), fixes its first step."""
+    dims = draw(dims)
     quotients = list(dims)
     steps = []
     last = None
     while any(q > 1 for q in quotients):
         open_dirs = [j for j, q in enumerate(quotients) if q > 1 and j != last]
         assume(open_dirs)
-        j = draw(st.sampled_from(open_dirs))
+        if first is not None and not steps:
+            j = first % len(dims)
+        else:
+            j = draw(st.sampled_from(open_dirs))
         f = draw(st.sampled_from(divisors_ge2(quotients[j])))
         quotients[j] //= f
         steps.append((j + 1, f))
@@ -135,6 +142,11 @@ def stage_mutated(draw, jofs):
             bump = draw(st.sampled_from([-1, 1])) * draw(st.sampled_from([1, 2, 3, 7, 50]))
             row[k] = min(max(row[k] + bump, low), high)
     return SumSystem(tuple(tuple(p) for p in parts))
+
+
+@pytest.fixture(scope="module")
+def e4_cuboid():
+    return build_cuboid(JointOrderedFactorisation(JOF_E4, DIMS_E4))
 
 
 def walk_witness(ss: SumSystem):
@@ -301,24 +313,165 @@ def outcome(verify, M):
         return str(exc)
 
 
+def decompose_report(M):
+    try:
+        decompose_cuboid(M)
+    except VerificationFailedError as exc:
+        return exc.report
+    return VerificationReport.ok()
+
+
+def reference_outcome(M):
+    """``support.cuboid_scan_reference``'s report, or InputError where the
+    library must raise it: a non-integer entry, or an int subclass in a
+    cuboid that would pass."""
+    if not all(isinstance(x, int) for x in M.entries):
+        return InputError
+    report = cuboid_scan_reference(M.dims, M.entries)
+    if report.passed and not all(type(x) is int for x in M.entries):
+        return InputError
+    return report
+
+
+def typed_outcome(verify, M):
+    try:
+        return verify(M)
+    except InputError:
+        return InputError
+
+
+@st.composite
+def dirty_block_cuboids(draw):
+    """Built cuboids above the ratio, faulted around last-direction blocks.
+
+    ``later-tie``: an entry off every axis moved by +-1 where every line
+    still increases (a vertex-sums fault alone), and a direction-1 tie in
+    a later block.  ``boundary``: the first step is in the last direction
+    m, with factor f, so block k is block k - 1 plus 1 wherever f does
+    not divide k, and every other line steps by a multiple of f.  One end
+    of such a direction-m pair takes the other's value, which breaks that
+    pair alone, across a clean/dirty boundary from below or from above.
+    ``odd``: the vertex-sums fault, and an entry of a later block (or of
+    any block) set to -1, 2**70 or True, or a second vertex-sums fault in
+    a later block.  Dims of order 2 are included, and a unit dimension
+    may be put first or last.
+    """
+    kind = draw(st.sampled_from(["later-tie", "boundary", "odd"]))
+    dims = st.sampled_from(ABOVE_RATIO + [(130, 130)])
+    jof = draw(large_ratio_jofs(dims, first=-1 if kind == "boundary" else None))
+    M = build_cuboid(jof)
+    dims, entries = M.dims, list(M.entries)
+    width, m = M.size // dims[-1], len(dims)
+    strides = [math.prod(dims[:j]) for j in range(m)]
+
+    def off_axis(p):
+        return sum(p // s % n > 0 for s, n in zip(strides, dims)) >= 2
+
+    if kind == "boundary":
+        # the last axis starts 0, 1, .., f - 1 for the first factor f
+        k = draw(st.sampled_from([k for k in range(1, dims[-1]) if k % jof.steps[0][1]]))
+        i = (k - 1) * width + draw(st.integers(1, width - 1))
+        # p in block k, or in block k - 1, takes the value of its partner q
+        p, q = (i + width, i) if draw(st.booleans()) else (i, i + width)
+        assume(off_axis(p))
+        entries[p] = entries[q]
+    else:
+
+        def bump_in_block(k):  # +1 where no line stops increasing
+            bumps = []
+            for p in range(k * width, (k + 1) * width):
+                ups = [entries[p + s] for s, n in zip(strides, dims) if p // s % n < n - 1]
+                if off_axis(p) and all(y > entries[p] + 1 for y in ups):
+                    bumps.append(p)
+            assume(bumps)
+            entries[draw(st.sampled_from(bumps))] += 1
+
+        k = draw(st.integers(0, dims[-1] - 2))
+        bump_in_block(k)
+        later = st.integers((k + 1) * width, M.size - 1)
+        if kind == "later-tie":
+            q = draw(later.filter(lambda q: q % dims[0] and off_axis(q)))
+            entries[q] = entries[q - 1]
+        elif draw(st.booleans()):
+            q = draw(later | st.integers(1, M.size - 1))
+            entries[q] = draw(st.sampled_from([-1, 2**70, True]))
+        else:  # a second vertex-sums fault, in a later block
+            bump_in_block(draw(st.integers(k + 1, dims[-1] - 1)))
+    unit = draw(st.sampled_from([None, "first", "last"]))
+    dims = {"first": (1, *dims), "last": (*dims, 1), None: dims}[unit]
+    return kind, Cuboid(dims, tuple(entries))
+
+
 class TestCuboid:
     @given(mutated_large_cuboids())
     @settings(max_examples=150, deadline=None)
     def test_public_report_equals_scan_above_ratio(self, M):
         assert above_ratio(M.dims)
         assert outcome(verify_reversible, M) == outcome(_scan_reversible, M)
+        assert typed_outcome(verify_reversible, M) == reference_outcome(M)
 
     @given(mutated_large_cuboids())
     @settings(max_examples=150, deadline=None)
     def test_decompose_agrees_with_scan(self, M):
-        def decompose_report(M):
-            try:
-                decompose_cuboid(M)
-            except VerificationFailedError as exc:
-                return exc.report
-            return VerificationReport.ok()
-
         assert outcome(decompose_report, M) == outcome(_scan_reversible, M)
+        assert typed_outcome(decompose_report, M) == reference_outcome(M)
+
+    @given(dirty_block_cuboids())
+    @settings(max_examples=150, deadline=None)
+    def test_dirty_block_faults_match_the_reference(self, case):
+        kind, M = case
+        assert above_ratio(M.dims)
+        expected = reference_outcome(M)
+        assert typed_outcome(verify_reversible, M) == expected
+        assert typed_outcome(decompose_report, M) == expected
+        if kind == "later-tie":
+            assert expected.violated_invariant == "monotonicity"
+        if kind == "boundary":
+            direction = M.order - (M.dims[-1] == 1)
+            assert expected.witness["direction"] == direction
+
+    def test_e4_vertex_reject_reads_only_its_block(self, monkeypatch, e4_cuboid):
+        # [7, 3, 4, 5, 6] is off every axis, and +1 leaves every line increasing
+        width = e4_cuboid.size // DIMS_E4[-1]
+        p = 6 + 2 * 28 + 3 * 560 + 4 * 16800 + 5 * width
+        entries = list(e4_cuboid.entries)
+        entries[p] += 1
+        bumped = Cuboid(DIMS_E4, tuple(entries))
+        pairs = []
+
+        def counted(entries, step, block, lo, hi):
+            pairs.append(hi - lo)  # at least the pairs it compares
+            return descent(entries, step, block, lo, hi)
+
+        descent = addsys.cuboid._descent
+        monkeypatch.setattr(addsys.cuboid, "_descent", counted)
+        report = verify_reversible(bumped)
+        assert report == VerificationReport.fail("vertex-sums", witness=[7, 3, 4, 5, 6])
+        # p's block alone is dirty: direction j < m reads at most width + s_j
+        # pairs, direction m those from p - width on, at most 2 * width
+        assert 0 < sum(pairs) <= (len(DIMS_E4) + 1) * width
+
+    def test_e4_direction_1_tie_returns_before_later_blocks(self, monkeypatch, e4_cuboid):
+        # a direction-1 tie at last index 6 and a bump at last index 10: the
+        # tie is named from the first span alone, before block 7 is compared
+        width = e4_cuboid.size // DIMS_E4[-1]
+        entries = list(e4_cuboid.entries)
+        entries[5 * width + 29] = entries[5 * width + 28]
+        entries[9 * width + 100] += 1
+        M = Cuboid(DIMS_E4, tuple(entries))
+        spans = []
+
+        def recorded(M):
+            for span in dirty_spans(M):
+                spans.append(span)
+                yield span
+
+        dirty_spans = addsys.cuboid._dirty_spans
+        monkeypatch.setattr(addsys.cuboid, "_dirty_spans", recorded)
+        report = verify_reversible(M)
+        witness = {"direction": 1, "index": [1, 2, 1, 1, 6]}
+        assert report == VerificationReport.fail("monotonicity", witness=witness)
+        assert spans == [(5 * width + 29, 6 * width)]
 
     def test_unit_dimension_both_routes(self):
         M = build_cuboid(JointOrderedFactorisation(tuple((j, 2) for j in range(1, 12)), (2,) * 11))
