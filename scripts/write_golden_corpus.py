@@ -2,10 +2,12 @@
 """Write tests/golden_corpus.json.gz, the outcomes the library gives on
 the fixed-seed inputs of ``tests/support.py``.
 
-Today the corpus holds its cuboid slice: for each input of
-``support.golden_cuboids``, the outcomes that ``support.cuboid_outcomes``
-records.  The file is gzip-compressed JSON, one case per line, so that
-about 2,000 cases fit in well under 300 KB; ``zcat`` shows it.
+The corpus holds two slices: ``"cuboid"``, the outcomes that
+``support.cuboid_outcomes`` records for each input of
+``support.golden_cuboids``, and ``"square"``, those of
+``support.square_outcomes`` for each input of ``support.golden_squares``.
+The file is gzip-compressed JSON, one case per line, so that a few
+thousand cases fit in well under 300 KB; ``zcat`` shows it.
 ``tests/test_golden.py`` compares the library with it.  Run from the
 repository root:
 
@@ -26,25 +28,40 @@ GOLDEN = TESTS / "golden_corpus.json.gz"
 sys.path.insert(0, str(TESTS))
 
 from addsys.cuboid import Cuboid  # noqa: E402
-from support import GOLDEN_SEED, cuboid_outcomes, golden_cuboids  # noqa: E402
+from support import (  # noqa: E402
+    GOLDEN_SEED,
+    cuboid_outcomes,
+    golden_cuboids,
+    golden_squares,
+    square_outcomes,
+)
 
 
 def main() -> int:
-    cases = [
-        [label, *cuboid_outcomes(Cuboid(dims, tuple(entries)))]
-        for label, dims, entries in golden_cuboids()
-    ]
-    if GOLDEN.exists():
-        old = json.loads(gzip.decompress(GOLDEN.read_bytes()))["cuboid"]
-        old = {case[0]: case for case in old}
+    slices = {
+        "cuboid": [
+            [label, *cuboid_outcomes(Cuboid(dims, tuple(entries)))]
+            for label, dims, entries in golden_cuboids()
+        ],
+        "square": [[label, *square_outcomes(rows)] for label, rows in golden_squares()],
+    }
+    old = json.loads(gzip.decompress(GOLDEN.read_bytes())) if GOLDEN.exists() else {}
+    for name, cases in slices.items():
+        before = {case[0]: case for case in old.get(name, [])}
         for case in cases:
-            if old.get(case[0]) != case:
-                print(f"changed: {case[0]}")
-    body = ",\n".join(json.dumps(case, sort_keys=True, separators=(",", ":")) for case in cases)
-    text = f'{{"seed": {GOLDEN_SEED}, "cuboid": [\n{body}\n]}}\n'
+            if before.get(case[0]) != case:
+                print(f"changed: {name} {case[0]}")
+    bodies = (
+        f'"{name}": [\n'
+        + ",\n".join(json.dumps(case, sort_keys=True, separators=(",", ":")) for case in cases)
+        + "\n]"
+        for name, cases in slices.items()
+    )
+    text = f'{{"seed": {GOLDEN_SEED}, {", ".join(bodies)}}}\n'
     data = gzip.compress(text.encode(), compresslevel=9, mtime=0)
     GOLDEN.write_bytes(data)
-    print(f"{len(cases)} cuboid cases, {len(data)} bytes ({len(text)} uncompressed)")
+    counts = ", ".join(f"{len(cases)} {name}" for name, cases in slices.items())
+    print(f"{counts} cases, {len(data)} bytes ({len(text)} uncompressed)")
     return 0
 
 

@@ -48,8 +48,9 @@ class Cuboid:
 
     dims: tuple[int, ...]
     entries: tuple[int, ...]
-    #: Set by ``_of_ints`` alone; ``replace`` and every other route leave it unset.
+    #: Set by ``_of_ints`` alone (``_tabulated`` for a ``SumSystem``'s outer sums).
     _ints: bool = field(default=False, init=False, repr=False, compare=False)
+    _tabulated: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Freeze both fields: slices of the entries must be tuples, and
@@ -67,10 +68,11 @@ class Cuboid:
             )
 
     @classmethod
-    def _of_ints(cls, dims: tuple[int, ...], entries: tuple[int, ...]) -> "Cuboid":
+    def _of_ints(cls, dims: tuple[int, ...], entries: tuple[int, ...], tabulated=False) -> Cuboid:
         """The cuboid of entries already proved ints in 0 .. INT64_MAX, marked so."""
         M = cls(dims, entries)
         object.__setattr__(M, "_ints", True)
+        object.__setattr__(M, "_tabulated", tabulated)
         return M
 
     @property
@@ -189,7 +191,7 @@ def cuboid_from_sumsystem(ss: SumSystem, cap: int = DEFAULT_CAP, check: bool = T
     _require_cap(ss.target_size, "cuboid entries", cap)
     ensure_int64(sum(p[-1] for p in ss.parts), "largest entry")
     # A ``SumSystem``'s parts are gated non-negative ints: so are their sums.
-    make = Cuboid._of_ints if type(ss) is SumSystem else Cuboid
+    make = partial(Cuboid._of_ints, tabulated=True) if type(ss) is SumSystem else Cuboid
     return make(ss.dims, tuple(_outer_sums(ss.parts)))
 
 
@@ -288,15 +290,15 @@ def verify_reversible(M: Cuboid) -> VerificationReport:
     pair comes first: a pair in direction j < m lies in one last-direction
     block, as s_j * n_j divides the block width, and one in direction m
     joins blocks k and k + 1; a pair whose ends both equal V increases; and
-    every entry outside the spans, p's predecessors included, equals V.
-    Other inputs, small cuboids included, get the ordered scan.  A cuboid
-    marked by ``Cuboid._of_ints`` skips both type passes.
+    every entry outside the spans, p's predecessors included, equals V.  A
+    tabulated cuboid has no spans: its parts, from 0, are its axes.  Other
+    inputs get the ordered scan.  ``Cuboid._of_ints`` marks skip both type passes.
     """
     if not M._ints:
         _require_int_entries(M)
     large = prod(M.dims) >= _CERTIFICATE_RATIO * sum(M.dims)
     if M.entries[0] == 0 and large and _walk_stop(_axes(M), M.dims) is None:
-        spans = _dirty_spans(M)
+        spans = iter(()) if M._tabulated else _dirty_spans(M)
         first = next(spans, None)
         if first is None:
             return VerificationReport.ok() if M._ints else _pass_if_exact_ints(M)
@@ -352,10 +354,12 @@ def _non_int_entry(M: Cuboid) -> InputError:
 
 def _monotonicity(M: Cuboid, spans: Iterable[tuple[int, int]]) -> VerificationReport | None:
     """The first line pair, direction by direction, that does not increase,
-    of the pairs (i, i + s_j) touching ``spans``, ascending flat ranges
-    (lo, hi); direction 1 asks for a span only when it has read up to it."""
+    of the pairs (i, i + s_j) touching ``spans``, ascending flat ranges (lo,
+    hi) pulled only as read; directions of size 1 hold no pairs: skipped."""
     entries = M.entries
     for j, (step, n) in enumerate(zip(_strides(M.dims), M.dims), start=1):
+        if n == 1:
+            continue
         done, kept = 0, []  # pairs from i < done were read for an earlier span
         for lo, hi in spans:
             i = _descent(entries, step, step * n, lo - step if lo - step > done else done, hi)

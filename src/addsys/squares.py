@@ -8,11 +8,9 @@ weight is a half-integer for even n, so a builder computes each row in
 doubled units and halves it in the same expression; every matrix holds
 plain integers.
 
-Everything works a row at a time: builders emit whole rows, the
-integer gate takes one row per call, and ``verify_square`` compares
-rows.  Failures are named as the ordered per-entry scan names them: a
-failing entry-set pass reruns that scan, and a failing row is searched
-for its first mismatching column.
+Builders emit whole rows, and the integer gate takes one row per call.
+``verify_square`` names failures as the ordered per-entry scan does; it
+reads a reversible square as an order-2 cuboid and compares other rows.
 """
 
 from __future__ import annotations
@@ -34,7 +32,9 @@ from .core import (
     _require_passed,
     _shown,
 )
+from .cuboid import Cuboid, _vertex_mismatch
 from .sds import INCLUSIVE, NON_INCLUSIVE, SdsSystem, _signed, verify_sds
+from .sumsystem import _walk_stop
 
 KINDS = ("reversible", "associated", "most-perfect")
 
@@ -203,6 +203,13 @@ def _entry_set_witness(M: SquareMatrix) -> int | None:
     return None
 
 
+def _entry_set_certified(d) -> bool:
+    """``verify_square``'s certificate: lo = 1, and the walk completes on sorted a and b."""
+    axes = [sorted(d[0]), sorted(row[0] for row in d)]
+    parts = [tuple([x - axis[0] for x in axis]) for axis in axes]  # tuples: the walk compares them
+    return axes[0][0] + axes[1][0] - d[0][0] == 1 and _walk_stop(parts, (len(d),) * 2) is None
+
+
 def _first_mismatch(rows, wants) -> list[int] | None:
     """1-based [row, column] of the first row-major entry where the tuple
     rows differ from the tuples ``wants`` (built lazily), else None."""
@@ -225,18 +232,22 @@ def verify_square(M: SquareMatrix, kind: str) -> VerificationReport:
     The report is the ordered per-entry scan's: the first violated
     clause and its first offender, row-major.  Most perfect reports
     carry a note naming the toroidal block convention.  Row and column
-    sums use ``sum`` on the rows and ``zip(*d)``; vertex sums,
-    associated pairs, 2 x 2 blocks (via adjacent-entry sums) and
-    diagonal pairs compare each row with a vector from its partner row.
+    sums use ``sum`` on the rows and ``zip(*d)``; associated pairs, 2 x 2
+    blocks (via adjacent-entry sums) and diagonal pairs compare each row
+    with a vector from its partner row.
 
-    Line reversal is O(n).  The vertex sums hold by then, so d[I][J] =
-    T[J] + C[I] - d00 (top row T, first column C, d00 = d[0][0]).  Row
-    I reverses at J when d[I][J] + d[I][n-1-J] = d[I][0] + d[I][n-1];
-    2 C[I] - 2 d00 cancels, leaving T[J] + T[n-1-J] = T[0] + T[n-1],
-    the same for every I.  Likewise column J reverses at I when C[I] +
-    C[n-1-I] = C[0] + C[n-1], the same for every J and true at I = 0.
-    So the first failure, row-major, is (1, J+1) for the first J where
-    T fails, or else (I+1, 1) for the first I where C fails.
+    A reversible square is the order-2 cuboid of its rows, axes T (top
+    row) and C (first column): vertex sums hold iff d[I][J] = T[J] + C[I]
+    - d00, and a first flat mismatch p is [p // n + 1, p % n + 1].  If
+    none, d[I][J] = a_J + b_I + lo (a = T - min T, b = C - min C, lo = min
+    T + min C - d00): the entries are 1 .. n^2 iff lo = 1 and (a, b) is a
+    sum system.  A stage walk that completes on them, sorted, proves that
+    (a repeated offset stops it), and the entry-set pass, else first, is
+    skipped.  Line reversal is then O(n): row I reverses at J iff T[J] +
+    T[n-1-J] = T[0] + T[n-1], for all I alike, and column J at I iff C[I]
+    + C[n-1-I] = C[0] + C[n-1], for all J alike and at I = 0 always; so
+    the first failure, row-major, is (1, J+1) for T's first failing J,
+    else (I+1, 1) for C's first failing I.
     """
     if kind not in KINDS:
         raise InputError(f"kind must be one of {KINDS}, got {_shown(kind)}")
@@ -246,15 +257,15 @@ def verify_square(M: SquareMatrix, kind: str) -> VerificationReport:
     def fail(invariant: str, witness) -> VerificationReport:
         return VerificationReport.fail(invariant, witness, note=note)
 
-    witness = _entry_set_witness(M)
+    # A reversible square's first vertex mismatch; 0 for other kinds, whose sets are read
+    p = _vertex_mismatch(Cuboid((n, n), tuple(chain(*d)))) if kind == "reversible" else 0
+    witness = None if p is None and _entry_set_certified(d) else _entry_set_witness(M)
     if witness is not None:
         return fail("entry-set", witness)
     if kind == "reversible":
-        top, corner = d[0], d[0][0]
-        at = _first_mismatch(d, (tuple([t + (r[0] - corner) for t in top]) for r in d))
-        if at is not None:
-            return fail("vertex-sums", at)
-        j = _first_unreversed(top)
+        if p is not None:
+            return fail("vertex-sums", [p // n + 1, p % n + 1])
+        j = _first_unreversed(d[0])
         i = _first_unreversed([row[0] for row in d]) if j is None else 0
         if i is not None:
             return fail("line-reversal", {"row": i + 1, "column": (j or 0) + 1})

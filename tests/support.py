@@ -4,8 +4,8 @@ Everything here is deliberately naive and kept free of library
 internals: plain recursion, itertools expansion, direct property scans
 on integer grids.  The one exception, the reference stage walk, shares
 the library's witness rule.  The golden corpus's inputs come from here
-too, with ``cuboid_outcomes``, which records what the public cuboid
-calls return on them.
+too, with ``cuboid_outcomes`` and ``square_outcomes``, which record what
+the public cuboid and square calls return on them.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from addsys.core import (
 from addsys.cuboid import decompose_cuboid, verify_property_V, verify_reversible
 from addsys.factorisation import JointOrderedFactorisation, _copy_witness
 from addsys.sds import INCLUSIVE, NON_INCLUSIVE, SdsSystem, verify_sds
+from addsys.squares import KINDS, SquareMatrix, verify_square
 from addsys.sumsystem import verify_sum_system
 from conftest import DIMS_E4, E4_PARTS
 
@@ -716,8 +717,8 @@ def golden_cuboids(seed: int = GOLDEN_SEED):
         yield label, DIMS_E4, entries
 
 
-#: The documented errors a cuboid verifier or decomposer may raise.
-CUBOID_ERRORS = (
+#: The documented errors a verifier, decomposer or constructor may raise.
+DOCUMENTED_ERRORS = (
     InputError, Int64OverflowError, CapExceededError, VerificationFailedError,
     InternalContradictionError,
 )
@@ -735,8 +736,140 @@ def cuboid_outcomes(M) -> list:
     for call in (verify_reversible, decompose_cuboid, unchecked, verify_property_V):
         try:
             result = call(M)
-        except CUBOID_ERRORS as exc:
+        except DOCUMENTED_ERRORS as exc:
             out.append([type(exc).__name__, str(exc)])
         else:
             out.append(result.as_text() if hasattr(result, "as_text") else result.to_json_doc())
     return out
+
+
+# Squares: the square slice of the golden corpus.
+
+#: Square sides by family; associated and most perfect squares need an
+#: even part size, so a side divisible by 4.
+GOLDEN_SQUARE_SIDES = {
+    "reversible-even": (2, 4, 6, 8, 10, 12, 16, 18, 24),
+    "reversible-odd": (3, 5, 7, 9, 15, 21, 25),
+    "associated": (4, 8, 12, 16),
+    "most-perfect": (4, 8, 12, 16),
+}
+#: The mutations of a square's rows; the "axis" ones keep the vertex sums.
+GOLDEN_SQUARE_KINDS = [
+    "swap", "swap-near", "bump", "corner", "shift", "edge", "flip", "ragged",
+    "axis-dup", "axis-negative", "axis-bump", "axis-edge", "system", "system",
+]
+#: Entries at and beyond the int64 edges.
+GOLDEN_SQUARE_EDGES = [2**62, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1]
+
+
+def _golden_square(rng, family: str, n: int) -> list[list[int]]:
+    """Plain rows of a valid square of the family and side, from a random
+    two-part sum system through the reference maps and entry formulas."""
+    steps = random_steps(rng, (n, n))
+    ss = SumSystem(tuple(map(tuple, jof_parts(steps, (n, n)))))
+    to_sds = reference_sumsys_to_sds_inclusive if n % 2 else reference_sumsys_to_sds_noninclusive
+    first, second = to_sds(ss, check=False).parts
+    signs = ()
+    if family == "associated":
+        half = [1, -1] * (len(first) // 2)
+        signs = (rng.sample(half, len(half)), rng.sample(half, len(half)))
+    return [[x // 2 for x in row] for row in reference_square(family, first, second, *signs)]
+
+
+def _axis_rows(top, column) -> list[list[int]]:
+    """Rows whose entry (I, J) is top[J] + column[I] - top[0]: vertex sums hold."""
+    return [[t + c - top[0] for t in top] for c in column]
+
+
+def _golden_square_mutation(rng, kind: str, rows: list[list[int]]) -> list[list[int]]:
+    """One corpus mutation of square rows; returns the new rows."""
+    n = len(rows)
+    i, j = rng.randrange(n), rng.randrange(n)
+    if kind == "swap":
+        k, l = rng.randrange(n), rng.randrange(n)
+        rows[i][j], rows[k][l] = rows[k][l], rows[i][j]
+    elif kind == "swap-near":
+        k, l = (i, (j + 1) % n) if rng.random() < 0.5 else ((i + 1) % n, j)
+        rows[i][j], rows[k][l] = rows[k][l], rows[i][j]
+    elif kind == "bump":
+        rows[i][j] += rng.choice([-2, -1, 1, 2])
+    elif kind == "corner":
+        rows[0][0] += rng.choice([-1, 1])
+    elif kind == "shift":
+        step = rng.choice([-1, 1, -n * n])
+        rows = [[x + step for x in row] for row in rows]
+    elif kind == "edge":
+        rows[i][j] = rng.choice(GOLDEN_SQUARE_EDGES)
+    elif kind == "flip":  # transpose or mirror: a reversible square stays one
+        how = rng.choice(["transpose", "rows", "columns"])
+        if how == "transpose":
+            rows = [list(col) for col in zip(*rows)]
+        else:
+            rows = rows[::-1] if how == "rows" else [row[::-1] for row in rows]
+    elif kind == "ragged":
+        del rows[i][n - 1 :]
+    elif kind == "system":  # entries 1 + x_J + y_I: distinct offsets, 0 among them
+        xs, ys = (rng.sample(range(1, top), n - 1) for top in (rng.choice([n, 2 * n]), n * n))
+        if rng.random() < 0.5:
+            ys = [n * y for y in rng.sample(range(1, n), n - 1)]  # a sum system if xs is
+        for offsets in (xs, ys):
+            offsets.insert(rng.randrange(n), 0)
+        rows = [[1 + x + y for x in xs] for y in ys]
+    elif n > 1:  # an "axis" kind: change one entry of the top row or first column
+        top, column = rows[0][:], [row[0] for row in rows]
+        axis = rng.choice([top, column])
+        k = rng.randrange(1, n)
+        if kind == "axis-dup":
+            axis[k] = axis[rng.randrange(n)]
+        elif kind == "axis-negative":
+            axis[k] = -axis[k] - rng.randrange(n)
+        elif kind == "axis-bump":
+            axis[k] += rng.choice([-1, 1])
+        else:
+            axis[k] = rng.choice(GOLDEN_SQUARE_EDGES)
+        rows = _axis_rows(top, column)
+    return rows
+
+
+def golden_squares(seed: int = GOLDEN_SEED):
+    """The square slice of the golden corpus: (label, rows) pairs.
+
+    About 1,500 squares from a fixed seed: valid squares of the four
+    families (even and odd reversible, associated, most perfect), each
+    left alone or with one to three mutations; then sides 1 and 2 by
+    hand, and reversible squares of sides 63 to 128, valid or mutated.
+    """
+    rng = random.Random(seed)
+    families = sorted(GOLDEN_SQUARE_SIDES)
+    for k in range(1500):
+        family = rng.choice(families)
+        rows = _golden_square(rng, family, rng.choice(GOLDEN_SQUARE_SIDES[family]))
+        kinds = [] if rng.random() < 0.15 else rng.choices(GOLDEN_SQUARE_KINDS, k=rng.randint(1, 3))
+        kinds.sort(key="ragged".__eq__)  # a ragged grid takes no further mutation
+        for kind in kinds:
+            rows = _golden_square_mutation(rng, kind, rows)
+        yield f"{k} {family} {','.join(kinds) or 'valid'}", rows
+    for rows in (
+        [[1]], [[0]], [[2]], [[-1]], [[2**63 - 1]], [[True]],
+        [[4, 3], [2, 1]], [[1, 2], [3, 4]], [[1, 3], [2, 4]], [[1, 1], [1, 1]],
+        [[1, 2], [2, 3]], [[2, 3], [4, 5]], [[0, 1], [2, 3]], [[1, 2], [3, 5]],
+        [[-1, 2], [3, 6]], [[2**63 - 1, 1], [2, 3]],
+    ):
+        yield f"small {rows}", rows
+    for k, (family, n) in enumerate(
+        [("reversible-even", 64), ("reversible-odd", 63), ("reversible-even", 128)] * 2
+    ):
+        rows = _golden_square(rng, family, n)
+        yield f"large {k} {family} {n} valid", [row[:] for row in rows]
+        kind = rng.choice(["bump", "axis-dup", "system", "shift"])
+        yield f"large {k} {family} {n} {kind}", _golden_square_mutation(rng, kind, rows)
+
+
+def square_outcomes(rows) -> list:
+    """``SquareMatrix.from_plain`` of the rows, then ``verify_square`` under
+    every kind: each report's JSON, or [exception type, message]."""
+    try:
+        M = SquareMatrix.from_plain(rows)
+    except DOCUMENTED_ERRORS as exc:
+        return [[type(exc).__name__, str(exc)]]
+    return [verify_square(M, kind).to_json_doc() for kind in KINDS]

@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
 import math
+import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,11 +37,21 @@ from addsys.cuboid import (
     verify_reversible,
 )
 from addsys.factorisation import JointOrderedFactorisation, enumerate_jofs
-from addsys.sumsystem import _walk_stop, build_sum_system
+from addsys.sumsystem import _walk_stop, build_sum_system, verify_sum_system
 from conftest import (
-    DIMS_E1, DIMS_E2, DIMS_E3, DIMS_E4, E1A_PARTS, E3_PARTS, JOF_E1A, JOF_E2, JOF_E3, JOF_E4,
+    DIMS_E1, DIMS_E2, DIMS_E3, DIMS_E4, E1A_PARTS, E3_PARTS, E4_PARTS, JOF_E1A, JOF_E2, JOF_E3,
+    JOF_E4,
 )
-from support import dims_vectors_up_to, vertex_reference
+from support import (
+    DOCUMENTED_ERRORS,
+    GOLDEN_RATIO_DIMS,
+    cuboid_scan_reference,
+    dims_vectors_up_to,
+    jof_parts,
+    outer_entries,
+    random_steps,
+    vertex_reference,
+)
 
 
 def jof(steps, dims):
@@ -275,6 +287,28 @@ def closed_form_cuboids(draw, first_block=False):
     return Cuboid(tuple(dims), tuple(entries))
 
 
+@st.composite
+def square_views(draw):
+    """Order-2 tensors as a square's rows read as a cuboid, then maybe changed.
+
+    The root is a corner entry and the axes' offsets from it may be
+    negative, but every closed-form value root + a + b stays non-negative,
+    so the tensor packs.  A change copies one entry onto another (a
+    duplicate) or makes one negative.  A negative entry on an axis breaks
+    the packing bounds, and the exact branch answers; any other change
+    leaves a dirty block for the packed branch.
+    """
+    n1, n2 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    a = [0] + draw(st.lists(st.integers(-20, 40), min_size=n1 - 1, max_size=n1 - 1))
+    b = [0] + draw(st.lists(st.integers(-20, 40), min_size=n2 - 1, max_size=n2 - 1))
+    root = -min(a) - min(b) + draw(st.integers(0, 3))
+    entries = [root + x + y for y in b for x in a]
+    for _ in range(draw(st.integers(0, 2))):
+        p, q = draw(st.integers(0, n1 * n2 - 1)), draw(st.integers(0, n1 * n2 - 1))
+        entries[p] = draw(st.sampled_from([entries[q], -1, -entries[p] - 1]))
+    return Cuboid((n1, n2), tuple(entries))
+
+
 class TestPropertyV:
     @given(closed_form_cuboids())
     @settings(max_examples=500, deadline=None)
@@ -303,6 +337,29 @@ class TestPropertyV:
                 entries[p] = x
                 M = Cuboid(dims, tuple(entries))
                 assert _vertex_mismatch(M) == vertex_reference(dims, entries)
+
+    @given(square_views())
+    @settings(max_examples=400, deadline=None)
+    def test_square_views_match_the_per_entry_oracle(self, M):
+        assert _vertex_mismatch(M) == vertex_reference(M.dims, M.entries)
+
+    def test_unit_first_dim_adds_no_scan_pass(self):
+        # E4 with root 1 takes the ordered scan, which fails at the first
+        # pair of the first direction that has pairs.  A leading unit dim
+        # has none: skipped, it costs nothing (1.08-2.7 s when it was
+        # scanned a block at a time; 0.02-0.04 s without it; 2-vCPU Xeon).
+        entries = outer_entries(E4_PARTS)
+        entries[0] = 1
+        for dims, j in (((1, *DIMS_E4), 2), (DIMS_E4, 1)):
+            M = Cuboid(dims, tuple(entries))
+            start = time.perf_counter()
+            report = verify_reversible(M)
+            elapsed = time.perf_counter() - start
+            index = [1] * len(dims)
+            assert report == VerificationReport.fail(
+                "monotonicity", witness={"direction": j, "index": index}
+            )
+            assert elapsed < 0.5, f"{dims}: {elapsed:.2f} s"
 
     def test_e4_interior_fault_named_by_both_routes(self):
         M = build_cuboid(jof(JOF_E4, DIMS_E4))
@@ -550,6 +607,7 @@ class TestIntEntryMarker:
         ]
         for out in marked:
             assert out._ints and _are_ints(out.entries, lo=0)
+        assert [out._tabulated for out in marked] == [True, True, False, False]
         j = data.draw(st.integers(1, M.order))
         unmarked = [
             Cuboid(M.dims, M.entries),
@@ -560,12 +618,12 @@ class TestIntEntryMarker:
             cuboid_from_sumsystem(LooseSumSystem(ss.parts)),
         ]
         for out in unmarked:
-            assert not out._ints
+            assert not out._ints and not out._tabulated
         for out in marked[:3]:
             plain = Cuboid(out.dims, out.entries)
             assert out == plain and hash(out) == hash(plain) and repr(out) == repr(plain)
             assert verify_reversible(out) == verify_reversible(plain) == VerificationReport.ok()
-        assert "_ints" not in repr(M)
+        assert "_ints" not in repr(M) and "_tabulated" not in repr(M)
         with pytest.raises(TypeError):
             Cuboid(M.dims, M.entries, True)
 
@@ -601,3 +659,93 @@ class TestIntEntryMarker:
             verify_reversible(Cuboid(M.dims, M.entries))
         with pytest.raises(AssertionError, match="entry type pass"):
             verify_property_V(Cuboid(M.dims, M.entries))
+
+
+@st.composite
+def ratio_sum_systems(draw):
+    """Sum systems at certificate size (prod >= 64 * sum), valid or not.
+
+    A valid one comes from a random JOF of dims at the ratio; an invalid
+    one then has one non-zero element of one part moved to another free
+    value, so the parts stay strictly increasing from 0 and the walk
+    stops.
+    """
+    dims = draw(st.sampled_from(GOLDEN_RATIO_DIMS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    parts = jof_parts(random_steps(rng, dims), dims)
+    if draw(st.booleans()):
+        j = draw(st.integers(0, len(dims) - 1))
+        part = parts[j]
+        k = draw(st.integers(1, len(part) - 1))
+        x = draw(st.integers(1, 2 * part[-1] + 2).filter(lambda x: x not in part))
+        parts[j] = sorted(part[:k] + part[k + 1 :] + [x])
+    return SumSystem(tuple(map(tuple, parts)))
+
+
+def outcomes(M: Cuboid) -> list:
+    """``verify_reversible``, ``axis_sets`` and ``decompose_cuboid``, both
+    checked: a report, the parts, the steps, or [exception type, message]."""
+    out = []
+    for call, read in (
+        (verify_reversible, lambda r: r),
+        (axis_sets, lambda ss: ss.parts),
+        (decompose_cuboid, lambda jof_: jof_.steps),
+    ):
+        try:
+            out.append(read(call(M)))
+        except DOCUMENTED_ERRORS as exc:
+            out.append([type(exc).__name__, str(exc)])
+    return out
+
+
+class TestTabulatedMarker:
+    """A cuboid tabulated from a ``SumSystem`` is its own vertex certificate.
+
+    ``cuboid_from_sumsystem`` marks it, so ``verify_reversible``'s
+    certificate route passes it without reading blocks; every outcome must
+    equal that of an unmarked copy and of the naive scan.
+    """
+
+    @given(ratio_sum_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_marked_and_unmarked_tabulations_agree_with_the_scan(self, ss):
+        M = cuboid_from_sumsystem(ss, check=False)
+        assert M._tabulated and M.entries[0] == 0
+        plain = Cuboid(M.dims, M.entries)
+        assert not plain._tabulated
+        got = outcomes(M)
+        assert got == outcomes(plain)
+        assert got[0] == cuboid_scan_reference(M.dims, M.entries)
+        assert got[0].passed == verify_sum_system(ss).passed
+        assert got[0].passed == (_walk_stop(ss.parts, ss.dims) is None)
+
+    def test_marked_cuboids_read_no_block(self, monkeypatch):
+        def refuse(M):
+            raise AssertionError("blocks read")
+
+        M = build_cuboid(jof(JOF_E4, DIMS_E4))
+        plain = Cuboid(M.dims, M.entries)
+        monkeypatch.setattr(cuboid_mod, "_dirty_spans", refuse)
+        assert verify_reversible(M).passed
+        assert verify_reversible(cuboid_from_sumsystem(SumSystem(E4_PARTS))).passed
+        assert axis_sets(M).parts == E4_PARTS
+        with pytest.raises(AssertionError, match="blocks read"):
+            verify_reversible(plain)
+        with pytest.raises(AssertionError, match="blocks read"):
+            verify_reversible(from_json_doc(to_json_doc(M)))
+
+    def test_never_carried_by_other_routes(self):
+        ss = build_sum_system(jof(JOF_E2, DIMS_E2))
+        M = cuboid_from_sumsystem(ss)
+        assert M._tabulated
+        for out in (
+            dataclasses.replace(M),
+            Cuboid(M.dims, M.entries),
+            kron_dir([1, 2], 1, M),
+            building_op(2, 2, M),
+            from_json_doc(to_json_doc(M)),
+            cuboid_from_sumsystem(LooseSumSystem(ss.parts)),
+        ):
+            assert not out._tabulated
+        with pytest.raises(ValueError):
+            dataclasses.replace(M, _tabulated=True)

@@ -2,28 +2,51 @@
 
 ``tests/golden_corpus.json.gz`` was written by
 ``scripts/write_golden_corpus.py`` from the fixed-seed inputs of
-``support.golden_cuboids``: the report, JOF or exception of every cuboid
-verifier and decomposer, certificate route and ordered scan alike.
+``support.golden_cuboids`` and ``support.golden_squares``: the report,
+JOF or exception of every cuboid verifier and decomposer, certificate
+route and ordered scan alike, and of ``verify_square`` under every kind.
 """
 
 import gzip
 import json
 from pathlib import Path
 
+import pytest
+
 from addsys.cuboid import Cuboid
-from support import GOLDEN_SEED, cuboid_outcomes, golden_cuboids
+from support import GOLDEN_SEED, cuboid_outcomes, golden_cuboids, golden_squares, square_outcomes
 
 GOLDEN = Path(__file__).with_name("golden_corpus.json.gz")
 
 
-def test_cuboid_outcomes_match_the_corpus():
+@pytest.fixture(scope="module")
+def corpus():
     corpus = json.loads(gzip.decompress(GOLDEN.read_bytes()))
     assert corpus["seed"] == GOLDEN_SEED
-    cases = corpus["cuboid"]
+    return corpus
+
+
+def changed(inputs, outcomes, cases) -> list[str]:
+    """Labels of the cases whose outcomes differ from the ones on file."""
     labels = []
-    for (label, dims, entries), case in zip(golden_cuboids(), cases, strict=True):
+    for (label, *args), case in zip(inputs, cases, strict=True):
         assert label == case[0]
-        if [label, *cuboid_outcomes(Cuboid(dims, tuple(entries)))] != case:
+        if [label, *outcomes(*args)] != case:
             labels.append(label)
+    return labels
+
+
+def test_cuboid_outcomes_match_the_corpus(corpus):
+    cases = corpus["cuboid"]
+    labels = changed(
+        golden_cuboids(), lambda dims, entries: cuboid_outcomes(Cuboid(dims, tuple(entries))), cases
+    )
     assert not labels, f"{len(labels)} of {len(cases)} outcomes changed, first {labels[:10]}"
     assert len(cases) > 2000
+
+
+def test_square_outcomes_match_the_corpus(corpus):
+    cases = corpus["square"]
+    labels = changed(golden_squares(), square_outcomes, cases)
+    assert not labels, f"{len(labels)} of {len(cases)} outcomes changed, first {labels[:10]}"
+    assert len(cases) > 1500

@@ -381,3 +381,73 @@ class TestAgainstEntryFormulas:
         assert (report.violated_invariant, report.witness) == ("even-order", 3)
         assert report.note == "toroidal-2x2-blocks"
         assert verify_square(lo_shu, "associated").passed
+
+
+@lru_cache(maxsize=None)
+def square_systems(side):
+    """The parts of every two-part sum system of dims (side, side)."""
+    return tuple(build_sum_system(jof).parts for jof in enumerate_jofs((side, side)))
+
+
+@st.composite
+def axis_squares(draw):
+    """Rows lo + a_J + b_I, which meet the vertex sums, then maybe changed.
+
+    The offsets a and b are a two-part sum system in any order, or distinct
+    offsets that mostly are not one, or offsets with a repeat; lo is the
+    smallest entry, 1 or not.  One entry may then be bumped or two swapped.
+    """
+    n = draw(st.integers(1, 8))
+    how = draw(st.sampled_from(["system", "system", "distinct", "repeat"]))
+    if how == "system" and n > 1:
+        a, b = (list(p) for p in draw(st.sampled_from(square_systems(n))))
+    else:
+        a, b = ([0] + draw(st.lists(st.integers(1, n * n), min_size=n - 1, max_size=n - 1,
+                                    unique=how != "repeat")) for _ in range(2))
+    a, b = draw(st.permutations(a)), draw(st.permutations(b))
+    lo = draw(st.sampled_from([1, 1, 1, 0, 2, -5]))
+    rows = [[lo + x + y for x in a] for y in b]
+    change = draw(st.sampled_from(["none", "none", "bump", "swap"]))
+    i, j, k, l = (draw(st.integers(0, n - 1)) for _ in range(4))
+    if change == "bump":
+        rows[i][j] += draw(st.sampled_from([-1, 1]))
+    elif change == "swap":
+        rows[i][j], rows[k][l] = rows[k][l], rows[i][j]
+    return rows
+
+
+class TestReversibleCertificate:
+    """``verify_square`` reads a reversible square as an order-2 cuboid and
+    skips the entry-set pass when its offsets walk as a sum system."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(axis_squares())
+    def test_axis_squares_report_like_the_ordered_scan(self, rows):
+        square = SquareMatrix.from_plain(rows)
+        for kind in KINDS:
+            report = verify_square(square, kind)
+            got = (report.violated_invariant, report.witness, report.note)
+            assert got == square_scan_report(doubled(square.rows), kind), kind
+
+    def test_certified_squares_skip_the_entry_set_pass(self, monkeypatch):
+        calls = []
+        entry_set_witness = squares_mod._entry_set_witness
+        monkeypatch.setattr(
+            squares_mod, "_entry_set_witness", lambda M: calls.append(M) or entry_set_witness(M)
+        )
+        even, odd = derived_parts(8, "non-inclusive")[0], derived_parts(7, "inclusive")[0]
+        for square in (reversible_square_even(*even), reversible_square_odd(*odd)):
+            assert verify_square(square, "reversible").passed
+        assert verify_square(SquareMatrix.from_plain(REV_4), "reversible").passed
+        assert not calls
+        for rows, invariant in (
+            ([[x + 1 for x in row] for row in REV_4], "entry-set"),  # lo = 2
+            ([[1, 2], [2, 3]], "entry-set"),  # distinct offsets, no sum system
+            ([[1, 1], [3, 3]], "entry-set"),  # a repeat in the top row
+            ([[4, 3], [1, 2]], "vertex-sums"),
+        ):
+            report = verify_square(SquareMatrix.from_plain(rows), "reversible")
+            assert report.violated_invariant == invariant
+        assert len(calls) == 4
+        assert verify_square(associated_magic_square(*even), "associated").passed
+        assert len(calls) == 5
