@@ -218,6 +218,11 @@ def _vertex_mismatch(M: Cuboid) -> int | None:
     return next(_dirty_spans(M), (None,))[0]
 
 
+def _packing(n: int) -> tuple[struct.Struct, int]:
+    """Rows of n int64 fields, a row read as the int Σ v_J 2^(64J); and ONES."""
+    return struct.Struct(f"<{n}q"), int.from_bytes(b"\1\0\0\0\0\0\0\0" * n, "little")
+
+
 def _dirty_spans(M: Cuboid) -> Iterator[tuple[int, int]]:
     """Flat spans (lo, hi), ascending, outside which M is the closed form of its axes.
 
@@ -240,22 +245,18 @@ def _dirty_spans(M: Cuboid) -> Iterator[tuple[int, int]]:
     shift = (M.order - 1) * root
     inner = _outer_sums([(root - shift,), *axes[:-1]])
     width = len(inner)
-    row = struct.Struct(f"<{width}q")
+    row, ones = _packing(width)
     ints = operator.countOf(map(type, chain(*axes)), int) == sum(M.dims)
     packed = ints and 0 <= sum(map(min, axes)) - shift and sum(map(max, axes)) - shift <= INT64_MAX
-    base = p = None
+    base, p = packed and int.from_bytes(row.pack(*inner), "little"), None
     for start, offset in zip(count(0, width), [a - root for a in axes[-1]]):
         block = entries[start : start + width]
         try:
             got = packed and row.pack(*block)
         except struct.error:  # an entry outside int64, or not an int
             got = None
-        if got:
-            if base is None:
-                base = int.from_bytes(row.pack(*inner), "little")
-                ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * width, "little")
-            if got == (base + offset * ones).to_bytes(8 * width, "little"):
-                continue
+        if got and got == (base + offset * ones).to_bytes(8 * width, "little"):
+            continue
         if p is None:  # no mismatch yet: search this block
             want = [x + offset for x in inner]
             p = next(compress(count(start), map(operator.ne, block, want)), None)

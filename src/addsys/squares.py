@@ -4,13 +4,11 @@ Four families: even and odd reversible squares, associated magic
 squares, and most perfect squares.  Each arises by filling a block
 pattern from the two parts of a sum-and-distance system and adding the
 weight (n^2 + 1) / 2, which recentres the entries onto 1 .. n^2.  The
-weight is a half-integer for even n, so a builder computes each row in
-doubled units and halves it in the same expression; every matrix holds
-plain integers.
-
-Builders emit whole rows, and the integer gate takes one row per call.
-``verify_square`` names failures as the ordered per-entry scan does; it
-reads a reversible square as an order-2 cuboid and compares other rows.
+weight is a half-integer for even n, so a builder forms each row in
+doubled units, as one int of n 64-bit fields, and halves it whole; every
+matrix holds plain integers.  ``verify_square`` compares packed rows too,
+names failures as the ordered per-entry scan does, and reads a
+reversible square as an order-2 cuboid.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import add
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     DEFAULT_CAP,
@@ -32,7 +30,7 @@ from .core import (
     _require_passed,
     _shown,
 )
-from .cuboid import Cuboid, _vertex_mismatch
+from .cuboid import Cuboid, _packing, _vertex_mismatch
 from .sds import INCLUSIVE, NON_INCLUSIVE, SdsSystem, _signed, verify_sds
 from .sumsystem import _walk_stop
 
@@ -55,14 +53,6 @@ class SquareMatrix:
             _require_ints(row, "entries must be integers")
         if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
             raise InputError(f"need a {self.n} x {self.n} entry grid")
-
-    @classmethod
-    def _of_ints(cls, n: int, rows: Iterable[list[int]]) -> "SquareMatrix":
-        """The square of n int rows of n, from a verified pair: no gate."""
-        M = object.__new__(cls)
-        object.__setattr__(M, "n", n)
-        object.__setattr__(M, "rows", tuple(map(tuple, rows)))
-        return M
 
     @staticmethod
     def from_plain(rows: Sequence[Sequence[int]]) -> "SquareMatrix":
@@ -87,10 +77,25 @@ def _paired_parts(
     return first, second
 
 
-def _rank_two_rows(signs, scales, col_a, col_b, weight2):
-    """Rows ``(weight2 + s_i * col_a + c_i * col_b) / 2``, halved in the row."""
-    pairs = list(zip(col_a, col_b))
-    return ([(weight2 + s * a + c * y) >> 1 for a, y in pairs] for s, c in zip(signs, scales))
+def _rank_two_square(signs, scales, col_a, col_b) -> SquareMatrix:
+    """Rows ``(n^2 + 1 + s_i col_a + c_i col_b) / 2``, n = len(col_a), ungated.
+
+    With A = Σ a_J 2^(64J) (packed, less 2^64 at each negative field) and
+    B likewise, twice row i is (n^2 + 1) ONES + s_i A + c_i B.  From a
+    verified pair (``_paired_parts``) its coefficients are twice entries in
+    1 .. n^2: even and in 2 .. 2n^2, they are its base-2^64 digits (no
+    field borrows or carries), and ``>> 1`` halves each one exactly.
+    """
+    n = len(col_a)
+    row, ones = _packing(n)
+    A, B = (int.from_bytes(row.pack(*col), "little") for col in (col_a, col_b))
+    A, B = (x - ((x >> 63 & ones) << 64) for x in (A, B))
+    twice = ((n * n + 1) * ones + s * A + c * B for s, c in zip(signs, scales))
+    rows = tuple([row.unpack((t >> 1).to_bytes(row.size, "little")) for t in twice])
+    M = object.__new__(SquareMatrix)
+    object.__setattr__(M, "n", n)
+    object.__setattr__(M, "rows", rows)
+    return M
 
 
 def _reversible_square(
@@ -102,16 +107,15 @@ def _reversible_square(
     g * (alpha_J + beta_I) where alpha is the first part's signed axis
     (``sds._signed`` reversed, through 0 when inclusive), beta likewise
     for the second part, so twice row I is g * alpha + (g * beta_I + n^2
-    + 1), halved as it is built.  Entries are exactly 1 .. n^2 when the
-    pair is a valid system, so every doubled entry is even.
+    + 1): rank two, with s_I = 1 and the second column all ones.
     """
     first, second = _paired_parts(a, b, flavour, cap)
     inclusive = flavour == INCLUSIVE
     g = 1 + inclusive
     n = 2 * len(first) + inclusive
     alpha = [g * x for x in _signed(first, inclusive)[::-1]]
-    shifts = [g * c + n * n + 1 for c in _signed(second, inclusive)[::-1]]
-    return SquareMatrix._of_ints(n, ([(x + c) >> 1 for x in alpha] for c in shifts))
+    shifts = [g * c for c in _signed(second, inclusive)[::-1]]
+    return _rank_two_square((1,) * n, shifts, alpha, (1,) * n)
 
 
 def reversible_square_even(
@@ -164,8 +168,7 @@ def associated_magic_square(
     vs, ws = _sign_vector(v, nu, "v"), _sign_vector(w, nu, "w")
     n = 2 * nu
     alpha, beta = _signed(first, False)[::-1], _signed(second, False)[::-1]
-    rows = _rank_two_rows(vs + vs[::-1], beta, alpha, ws + ws[::-1], n * n + 1)
-    return SquareMatrix._of_ints(n, rows)
+    return _rank_two_square(vs + vs[::-1], beta, alpha, ws + ws[::-1])
 
 
 def most_perfect_square(
@@ -187,7 +190,7 @@ def most_perfect_square(
     n = 2 * nu
     sigma, r = (1, -1) * nu, first + tuple(-x for x in first)
     q = second + tuple(-x for x in second)
-    return SquareMatrix._of_ints(n, _rank_two_rows(sigma, r, q, sigma, n * n + 1))
+    return _rank_two_square(sigma, r, q, sigma)
 
 
 def _entry_set_witness(M: SquareMatrix) -> int | None:
@@ -211,12 +214,12 @@ def _entry_set_certified(d) -> bool:
 
 
 def _first_mismatch(rows, wants) -> list[int] | None:
-    """1-based [row, column] of the first row-major entry where the tuple
-    rows differ from the tuples ``wants`` (built lazily), else None."""
+    """1-based [row, column] of the first field where packed rows differ
+    from packed ``wants`` (built lazily), else None; fields in 0 .. 2^63."""
     for i, (row, want) in enumerate(zip(rows, wants)):
         if row != want:
-            j = next(j for j, (x, y) in enumerate(zip(row, want)) if x != y)
-            return [i + 1, j + 1]
+            low = (row ^ want) & -(row ^ want)  # the lowest bit that differs
+            return [i + 1, (low.bit_length() - 1) // 64 + 1]
     return None
 
 
@@ -231,10 +234,13 @@ def verify_square(M: SquareMatrix, kind: str) -> VerificationReport:
 
     The report is the ordered per-entry scan's: the first violated
     clause and its first offender, row-major.  Most perfect reports
-    carry a note naming the toroidal block convention.  Row and column
-    sums use ``sum`` on the rows and ``zip(*d)``; associated pairs, 2 x 2
-    blocks (via adjacent-entry sums) and diagonal pairs compare each row
-    with a vector from its partner row.
+    carry a note naming the toroidal block convention.  After the entry
+    set and row sums, rows are packed (``_packing``): column sums are the
+    sum of the packed rows, and associated pairs, 2 x 2 blocks (via
+    adjacent-entry sums) and diagonal pairs compare each row with its
+    partner row, reversed or rotated.  With entries in 1 .. n^2, every
+    field lies in 0 .. n^3 < 2^63: none carries or borrows, so the first
+    differing field of two packed ints names the first differing column.
 
     A reversible square is the order-2 cuboid of its rows, axes T (top
     row) and C (first column): vertex sums hold iff d[I][J] = T[J] + C[I]
@@ -257,6 +263,9 @@ def verify_square(M: SquareMatrix, kind: str) -> VerificationReport:
     def fail(invariant: str, witness) -> VerificationReport:
         return VerificationReport.fail(invariant, witness, note=note)
 
+    def rotated(p: int, k: int) -> int:  # the packed row whose field J is p's field (J + k) % n
+        return (p >> 64 * k) | ((p & ((1 << 64 * k) - 1)) << 64 * (n - k))
+
     # A reversible square's first vertex mismatch; 0 for other kinds, whose sets are read
     p = _vertex_mismatch(Cuboid((n, n), tuple(chain(*d)))) if kind == "reversible" else 0
     witness = None if p is None and _entry_set_certified(d) else _entry_set_witness(M)
@@ -271,26 +280,28 @@ def verify_square(M: SquareMatrix, kind: str) -> VerificationReport:
             return fail("line-reversal", {"row": i + 1, "column": (j or 0) + 1})
         return VerificationReport.ok()
     pair_sum = n * n + 1
-    for invariant, lines in (("row-sum", d), ("column-sum", zip(*d))):
-        for k, line in enumerate(lines):
-            if 2 * sum(line) != n * pair_sum:
-                return fail(invariant, k + 1)
+    for k, line in enumerate(d):
+        if 2 * sum(line) != n * pair_sum:
+            return fail("row-sum", k + 1)
+    row, ones = _packing(n)
+    packed = [int.from_bytes(row.pack(*r), "little") for r in d]
+    if at := _first_mismatch([sum(packed)], [n * pair_sum // 2 * ones]):
+        return fail("column-sum", at[1])
     if kind == "associated":
-        wants = (tuple([pair_sum - x for x in reversed(r)]) for r in reversed(d))
-        at = _first_mismatch(d, wants)
+        wants = (pair_sum * ones - int.from_bytes(row.pack(*r[::-1]), "little") for r in d[::-1])
+        at = _first_mismatch(packed, wants)
         return fail("associated-pairs", at) if at else VerificationReport.ok()
     if n % 2:
         return fail("even-order", n)
     # Block (I, J) is right when the sum of row I's entries at J and
     # J + 1 complements that of row I + 1.
-    adjacent = [tuple(map(add, r, r[1:] + r[:1])) for r in d]
-    wants = (tuple([2 * pair_sum - x for x in p]) for p in adjacent[1:] + adjacent[:1])
-    at = _first_mismatch(adjacent, wants)
-    if at is not None:
+    adjacent = [p + rotated(p, 1) for p in packed]
+    wants = (2 * pair_sum * ones - p for p in adjacent[1:] + adjacent[:1])
+    if at := _first_mismatch(adjacent, wants):
         return fail("block-sums", at)
     h = n // 2
-    wants = (tuple([pair_sum - x for x in r[h:] + r[:h]]) for r in d[h:] + d[:h])
-    at = _first_mismatch(d, wants)
+    wants = (pair_sum * ones - rotated(p, h) for p in packed[h:] + packed[:h])
+    at = _first_mismatch(packed, wants)
     return fail("diagonal-pairs", at) if at else VerificationReport.ok(note=note)
 
 

@@ -140,15 +140,17 @@ def polynomial_check(ss: SumSystem, cap: int = DEFAULT_CAP) -> VerificationRepor
     The system is valid exactly when the product is 1 + x + ... +
     x^(d-1) with d = prod(sizes); this never forms the sum multiset, so
     it is an independent oracle for verify_sum_system.  The product is
-    one int, w = d.bit_length() bits per exponent: a coefficient below
-    x^d counts at most d < 2^w index tuples and shifts are non-negative,
-    so no field carries and masking exponents >= d keeps the rest exact.
-    The coefficients sum to d, so the first that is not 1 lies below x^d.
+    one int, w = (d // max(sizes)).bit_length() bits per exponent: in a
+    partial product, a coefficient counts index tuples whose other
+    elements fix the largest part's, at most d // max(sizes) < 2^w of
+    them.  Shifts are non-negative, so no field carries and masking
+    exponents >= d keeps the rest exact.  The coefficients sum to d, so
+    the first that is not 1 lies below x^d.
     Parts go by ascending maximum, which keeps the early products short.
     """
     d = ss.target_size
     _require_cap(d, "polynomial coefficients", cap)
-    w = d.bit_length()
+    w = (d // max(ss.dims)).bit_length()
     keep = (1 << d * w) - 1
     poly = 1
     for part in sorted(ss.parts, key=lambda p: p[-1]):

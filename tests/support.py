@@ -762,13 +762,20 @@ GOLDEN_SQUARE_KINDS = [
 GOLDEN_SQUARE_EDGES = [2**62, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1]
 
 
-def _golden_square(rng, family: str, n: int) -> list[list[int]]:
-    """Plain rows of a valid square of the family and side, from a random
-    two-part sum system through the reference maps and entry formulas."""
+def random_square_pair(rng, n: int):
+    """The two parts of the sum-and-distance system behind a side-n square
+    (inclusive for odd n), from a random two-part sum system of dims (n, n)
+    through the reference maps."""
     steps = random_steps(rng, (n, n))
     ss = SumSystem(tuple(map(tuple, jof_parts(steps, (n, n)))))
     to_sds = reference_sumsys_to_sds_inclusive if n % 2 else reference_sumsys_to_sds_noninclusive
-    first, second = to_sds(ss, check=False).parts
+    return to_sds(ss, check=False).parts
+
+
+def _golden_square(rng, family: str, n: int) -> list[list[int]]:
+    """Plain rows of a valid square of the family and side, from a random
+    two-part sum system through the reference maps and entry formulas."""
+    first, second = random_square_pair(rng, n)
     signs = ()
     if family == "associated":
         half = [1, -1] * (len(first) // 2)
@@ -808,6 +815,27 @@ def _golden_square_mutation(rng, kind: str, rows: list[list[int]]) -> list[list[
             rows = rows[::-1] if how == "rows" else [row[::-1] for row in rows]
     elif kind == "ragged":
         del rows[i][n - 1 :]
+    elif kind == "swap-last-row":  # column sums fail in the right half
+        j = rng.randrange(n // 2, n - 1)
+        rows[-1][j], rows[-1][-1] = rows[-1][-1], rows[-1][j]
+    elif kind == "column-sum-last":  # columns n - 1 and n fail their sums
+        rows[i][-2], rows[i][-1] = rows[i][-1], rows[i][-2]
+    elif kind == "swap-columns":  # most perfect: blocks hold, diagonal pairs fail at n/2 - 2
+        for row in rows:
+            row[-3], row[-1] = row[-1], row[-3]
+    elif kind == "swap-last-column":
+        # Swap rows i and k, both in the top half, in the last column and in
+        # a column l of the right half where the swap keeps both row sums:
+        # entry set and line sums hold, and the pair clauses fail at column
+        # l + 1 or later.  Without such k and l, rows i and k swap in the
+        # last column only, and row sums fail.
+        i, k = rng.sample(range(n // 2), 2)
+        for l, k2 in itertools.product(range(n - 2, n // 2 - 1, -1), range(n // 2)):
+            if k2 != i and rows[i][l] + rows[i][-1] == rows[k2][l] + rows[k2][-1]:
+                k = k2
+                rows[i][l], rows[k][l] = rows[k][l], rows[i][l]
+                break
+        rows[i][-1], rows[k][-1] = rows[k][-1], rows[i][-1]
     elif kind == "system":  # entries 1 + x_J + y_I: distinct offsets, 0 among them
         xs, ys = (rng.sample(range(1, top), n - 1) for top in (rng.choice([n, 2 * n]), n * n))
         if rng.random() < 0.5:
@@ -837,7 +865,9 @@ def golden_squares(seed: int = GOLDEN_SEED):
     About 1,500 squares from a fixed seed: valid squares of the four
     families (even and odd reversible, associated, most perfect), each
     left alone or with one to three mutations; then sides 1 and 2 by
-    hand, and reversible squares of sides 63 to 128, valid or mutated.
+    hand, reversible squares of sides 63 to 128, valid or mutated, and
+    associated and most perfect squares of sides 64 and 128, valid or
+    with a late swap, whose packed clauses name columns past the 64th.
     """
     rng = random.Random(seed)
     families = sorted(GOLDEN_SQUARE_SIDES)
@@ -863,6 +893,12 @@ def golden_squares(seed: int = GOLDEN_SEED):
         yield f"large {k} {family} {n} valid", [row[:] for row in rows]
         kind = rng.choice(["bump", "axis-dup", "system", "shift"])
         yield f"large {k} {family} {n} {kind}", _golden_square_mutation(rng, kind, rows)
+    for k, (n, family) in enumerate(itertools.product((64, 128), ("associated", "most-perfect"))):
+        rows = _golden_square(rng, family, n)
+        yield f"packed {k} {family} {n} valid", rows
+        for kind in ("swap-last-row", "swap-last-column", "column-sum-last", "swap-columns"):
+            mutated = _golden_square_mutation(rng, kind, [row[:] for row in rows])
+            yield f"packed {k} {family} {n} {kind}", mutated
 
 
 def square_outcomes(rows) -> list:

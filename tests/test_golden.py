@@ -50,3 +50,18 @@ def test_square_outcomes_match_the_corpus(corpus):
     labels = changed(golden_squares(), square_outcomes, cases)
     assert not labels, f"{len(labels)} of {len(cases)} outcomes changed, first {labels[:10]}"
     assert len(cases) > 1500
+
+
+def test_square_slice_pins_late_packed_fields(corpus):
+    # ``verify_square`` names a column by the first differing 64-bit field
+    # of packed rows.  A row's deviations under every packed clause sum to
+    # 0, so no clause can first name the last column alone, and diagonal
+    # pairs repeat with period n/2; the other clauses name columns past 64.
+    columns = {}
+    for case in corpus["square"]:
+        for report in case[1:] if case[0].startswith("packed") else ():
+            invariant, witness = report.get("violated_invariant"), report.get("witness")
+            if invariant in ("column-sum", "associated-pairs", "block-sums", "diagonal-pairs"):
+                column = witness[1] if isinstance(witness, list) else witness
+                columns[invariant] = max(columns.get(invariant, 0), column)
+    assert columns == {"column-sum": 127, "associated-pairs": 125, "block-sums": 126, "diagonal-pairs": 62}

@@ -38,3 +38,7 @@ def test_worked_examples_match_golden():
 def test_census_total_to_30():
     lines = run_script("jof_census.py", "30").splitlines()
     assert "all 118 609" in [" ".join(line.split()) for line in lines]
+
+
+def test_mutation_smoke_list_matches_the_source():
+    assert "each old text once" in run_script("mutation_smoke.py", "--check")

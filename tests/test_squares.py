@@ -1,3 +1,4 @@
+import random
 from functools import lru_cache
 
 import pytest
@@ -27,6 +28,7 @@ from support import (
     grid_magic_ok,
     grid_reversal_ok,
     grid_vertex_ok,
+    random_square_pair,
     reference_square,
     square_scan_report,
 )
@@ -381,6 +383,44 @@ class TestAgainstEntryFormulas:
         assert (report.violated_invariant, report.witness) == ("even-order", 3)
         assert report.note == "toroidal-2x2-blocks"
         assert verify_square(lo_shu, "associated").passed
+
+
+class TestPackedBuilders:
+    """The builders form each row as one int of 64-bit fields: its rows equal
+    the entry formulas, halved, at every side up to 512."""
+
+    @pytest.mark.parametrize(
+        "family, n",
+        [
+            *(("reversible-even", n) for n in (2, 6, 64, 130, 512)),
+            *(("reversible-odd", n) for n in (3, 65, 511)),
+            *(("associated", n) for n in (4, 68, 512)),
+            *(("most-perfect", n) for n in (4, 128, 512)),
+        ],
+    )
+    def test_rows_equal_the_halved_reference(self, family, n):
+        rng = random.Random(n)
+        first, second = random_square_pair(rng, n)
+        signs = ()
+        if family == "associated":  # random zero-sum v and w
+            half = [1, -1] * (len(first) // 2)
+            signs = (rng.sample(half, len(half)), rng.sample(half, len(half)))
+        rows = FAMILIES[family][0](first, second, *signs).rows
+        want = reference_square(family, first, second, *signs)
+        assert rows == tuple(tuple(x // 2 for x in row) for row in want)
+        assert len(rows) == n and all(type(row) is tuple and len(row) == n for row in rows)
+        assert {type(x) for row in rows for x in row} == {int}
+
+    def test_negative_columns_borrow_exactly(self):
+        # Each negative field of a packed signed column borrows 1 from the
+        # field above, the first field's included; the rows must not show it.
+        col_a, col_b = (-7, 5, -3, 9), (1, -1, -3, 5)
+        signs, scales = (1, -1, 1, -1), (2, 2, 0, 4)
+        rows = squares_mod._rank_two_square(signs, scales, col_a, col_b).rows
+        assert rows == tuple(
+            tuple((17 + s * a + c * b) // 2 for a, b in zip(col_a, col_b))
+            for s, c in zip(signs, scales)
+        )
 
 
 @lru_cache(maxsize=None)

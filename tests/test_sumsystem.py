@@ -214,6 +214,24 @@ class TestPolynomialReference:
         assert polynomial_report(parts) == ("polynomial-coefficient", 1)
 
     @pytest.mark.parametrize(
+        "parts, witness",
+        [([(0, 1), (0, 1, 2, 3)], 1), ([(0, 1, 2, 3)] * 2, 1), ([(0, 1, 3), (0, 2, 3)], 3)],
+    )
+    def test_coefficient_at_the_field_bound(self, parts, witness):
+        # A field holds (d // max(sizes)).bit_length() bits, and here a
+        # coefficient equals d // max(sizes): 2, 4, and 3 at the witness
+        # x^3 of the last case, which a field one bit narrower reads as 1.
+        assert polynomial_report(parts) == reference_polynomial_report(parts)
+        assert polynomial_report(parts) == ("polynomial-coefficient", witness)
+
+    @given(st.lists(st.sets(st.integers(1, 12), min_size=1, max_size=6), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_on_dense_non_systems(self, offsets):
+        # Dense parts give the largest coefficients each field must hold.
+        parts = [(0, *sorted(s)) for s in offsets]
+        assert polynomial_report(parts) == reference_polynomial_report(parts)
+
+    @pytest.mark.parametrize(
         "parts",
         [
             [(0, 1), (0, 2), (0, 4), (0, 8)],
