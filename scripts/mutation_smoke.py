@@ -44,11 +44,32 @@ MUTANTS = [
         ("tests/test_sds.py", "tests/test_certificate.py"),
     ),
     (
-        "dirty-span-short",
+        "unpacked-span-short",
         "cuboid.py",
-        "yield max(p, start), start + width\n",
-        "yield max(p, start), start + width - 1\n",
-        ("tests/test_certificate.py", "tests/test_cuboid.py"),
+        "yield p, start + width\n",
+        "yield p, start + width - 1\n",
+        ("tests/test_certificate.py", "tests/test_golden.py"),
+    ),
+    (
+        "run-fold-32-dropped",
+        "cuboid.py",
+        "                x |= x >> 32\n",
+        "",
+        ("tests/test_certificate.py", "tests/test_golden.py"),
+    ),
+    (
+        "run-end-short",
+        "cuboid.py",
+        "yield start + run.start(), start + run.end()\n",
+        "yield start + run.start(), start + run.end() - 1\n",
+        ("tests/test_certificate.py", "tests/test_golden.py"),
+    ),
+    (
+        "p-from-run-end",
+        "cuboid.py",
+        "_vertex_report(M, first[0])",
+        "_vertex_report(M, first[1] - 1)",
+        ("tests/test_certificate.py", "tests/test_golden.py"),
     ),
     (
         "unit-dim-scanned",

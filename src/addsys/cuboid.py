@@ -14,7 +14,9 @@ stack offset copies of a smaller cuboid along one direction.
 from __future__ import annotations
 
 import operator
+import re
 import struct
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, compress, count, product
@@ -223,19 +225,32 @@ def _packing(n: int) -> tuple[struct.Struct, int]:
     return struct.Struct(f"<{n}q"), int.from_bytes(b"\1\0\0\0\0\0\0\0" * n, "little")
 
 
-def _dirty_spans(M: Cuboid) -> Iterator[tuple[int, int]]:
-    """Flat spans (lo, hi), ascending, outside which M is the closed form of its axes.
+#: Runs of nonzero bytes, joined across gaps of fewer than 64 zero bytes.
+_RUNS = re.compile(rb"[^\0]+(?:\0{1,63}[^\0]+)*")
 
-    Block k of the last direction must be ``inner`` (the outer sums of
-    the other axes, less (order - 2) * root) plus offset k of the last
-    axis.  With int axes and all such values in 0 .. INT64_MAX (the sums
-    of the axes' minima and maxima, less (order - 1) * root), a block is
-    clean, exactly, when it packs as int64 bytes equal to ``base + offset
-    * ones`` (``inner`` packed once, a 1 per field): a negative entry
-    packs to a field >= 2^63, and an entry outside int64 or not an int
-    fails to pack.  The first span runs from the first mismatch p, found
-    by an exact search, to the end of its block; each later span is a
-    whole block that is not clean.  An order-1 tensor has no spans.
+
+def _dirty_spans(M: Cuboid) -> Iterator[tuple[int, int]]:
+    """Flat spans (lo, hi), ascending and disjoint, each from an entry that
+    differs from V, the closed form of M's axes; outside them M is V.
+
+    Block k of the last direction must be ``inner`` (the outer sums of the
+    other axes, less (order - 2) * root) plus offset k of the last axis.
+    With int axes and all such values in 0 .. INT64_MAX (the sums of the
+    axes' minima and maxima, less (order - 1) * root), ``base`` packs
+    ``inner`` as Σ inner[J] 2^(64J) straight from the axes: the packed sums
+    so far plus each element of the next axis less its minimum, times a 1
+    per field, joined as bytes, then the constant times ``ones`` once.  No
+    field leaves 0 .. INT64_MAX, so none carries or borrows.  A block that
+    packs as int64 (a negative entry packs to a field >= 2^63; an entry
+    outside int64 or not an int fails to pack) is XORed with ``base +
+    offset * ones``: field J is nonzero exactly where entry J differs.
+    Folding each field into its low byte (``x |= x >> 32``, ``>> 16``,
+    ``>> 8``; no fold moves a field into another's low byte) leaves one
+    byte in 8 per entry, and ``_RUNS`` names its runs, joined across gaps
+    of fewer than 64 entries: at most width / 64 spans per block, each
+    ending at an entry that differs.  A block that does not pack is
+    compared entry by entry with ``inner``, built then, and spans from its
+    first mismatch to its end.  An order-1 tensor has no spans.
     """
     if M.order == 1:
         return
@@ -243,25 +258,39 @@ def _dirty_spans(M: Cuboid) -> Iterator[tuple[int, int]]:
     axes = _axes(M)
     root = entries[0]
     shift = (M.order - 1) * root
-    inner = _outer_sums([(root - shift,), *axes[:-1]])
-    width = len(inner)
+    width = M.size // M.dims[-1]
     row, ones = _packing(width)
-    ints = operator.countOf(map(type, chain(*axes)), int) == sum(M.dims)
+    ints = M._ints or operator.countOf(map(type, chain(*axes)), int) == sum(M.dims)
     packed = ints and 0 <= sum(map(min, axes)) - shift and sum(map(max, axes)) - shift <= INT64_MAX
-    base, p = packed and int.from_bytes(row.pack(*inner), "little"), None
+    if packed:
+        line = bytes(8)  # the packed outer sums of the axes so far, each less its minimum
+        for axis in axes[:-1]:
+            size, least = len(line), min(axis)
+            low, unit = int.from_bytes(line, "little"), ones >> 8 * (8 * width - size)
+            line = b"".join([(low + (a - least) * unit).to_bytes(size, "little") for a in axis])
+        base = int.from_bytes(line, "little") + (root - shift + sum(map(min, axes[:-1]))) * ones
+    inner = None
     for start, offset in zip(count(0, width), [a - root for a in axes[-1]]):
         block = entries[start : start + width]
         try:
             got = packed and row.pack(*block)
         except struct.error:  # an entry outside int64, or not an int
             got = None
-        if got and got == (base + offset * ones).to_bytes(8 * width, "little"):
+        if got:
+            want = base + offset * ones
+            if got != want.to_bytes(8 * width, "little"):
+                x = int.from_bytes(got, "little") ^ want
+                x |= x >> 32
+                x |= x >> 16
+                x |= x >> 8
+                for run in _RUNS.finditer(x.to_bytes(8 * width, "little")[::8]):
+                    yield start + run.start(), start + run.end()
             continue
-        if p is None:  # no mismatch yet: search this block
-            want = [x + offset for x in inner]
-            p = next(compress(count(start), map(operator.ne, block, want)), None)
+        if inner is None:
+            inner = _outer_sums([(root - shift,), *axes[:-1]])
+        p = next(compress(count(start), map(operator.ne, block, [x + offset for x in inner])), None)
         if p is not None:
-            yield max(p, start), start + width
+            yield p, start + width
 
 
 #: Cuboids try the axis walk first only when prod(dims) is at least this
@@ -286,14 +315,16 @@ def verify_reversible(M: Cuboid) -> VerificationReport:
     ``_CERTIFICATE_RATIO`` times sum(dims) and the root is 0, the stage walk
     runs on the axes.  If it completes, their outer sums V form a valid
     cuboid, and the tensor passes when it equals V.  Otherwise the report is
-    the first monotonicity violation among the pairs touching a span of
-    ``_dirty_spans``, or else vertex sums at its first entry p.  No other
-    pair comes first: a pair in direction j < m lies in one last-direction
-    block, as s_j * n_j divides the block width, and one in direction m
-    joins blocks k and k + 1; a pair whose ends both equal V increases; and
-    every entry outside the spans, p's predecessors included, equals V.  A
-    tabulated cuboid has no spans: its parts, from 0, are its axes.  Other
-    inputs get the ordered scan.  ``Cuboid._of_ints`` marks skip both type passes.
+    the first monotonicity violation, direction by direction, among the
+    pairs with an end in a span of ``_dirty_spans`` (runs of the entries
+    that differ from V), or else vertex sums at the first span's first
+    entry p.  No other pair comes first: every entry outside the spans, p's
+    predecessors included, equals V, and a pair whose ends both equal V
+    increases.  A span narrower than a direction's step is read as its two
+    sets of pairs, (i - s_j, i) and (i, i + s_j), not the pairs between
+    them.  A tabulated cuboid has no spans: its parts, from 0, are its
+    axes.  Other inputs get the ordered scan.  ``Cuboid._of_ints`` marks
+    skip both type passes.
     """
     if not M._ints:
         _require_int_entries(M)
@@ -361,16 +392,36 @@ def _monotonicity(M: Cuboid, spans: Iterable[tuple[int, int]]) -> VerificationRe
     for j, (step, n) in enumerate(zip(_strides(M.dims), M.dims), start=1):
         if n == 1:
             continue
-        done, kept = 0, []  # pairs from i < done were read for an earlier span
-        for lo, hi in spans:
-            i = _descent(entries, step, step * n, lo - step if lo - step > done else done, hi)
-            if i is not None:
-                where = {"direction": j, "index": list(multi_index(M.dims, i))}
-                return VerificationReport.fail("monotonicity", witness=where)
-            done = hi
-            kept.append((lo, hi))
+        done, kept = 0, []  # pairs from i < done were read for an earlier range
+        for lo, hi in _pair_ranges(spans, step, kept):
+            if hi > done:
+                i = _descent(entries, step, step * n, lo if lo > done else done, hi)
+                if i is not None:
+                    where = {"direction": j, "index": list(multi_index(M.dims, i))}
+                    return VerificationReport.fail("monotonicity", witness=where)
+                done = hi
         spans = kept
     return None
+
+
+def _pair_ranges(spans, step: int, kept: list) -> Iterator[tuple[int, int]]:
+    """Ranges (lo, hi) of the lower ends i of the pairs (i, i + step) that
+    touch ``spans``, by ascending lo; each span pulled is added to ``kept``.
+    A span narrower than ``step`` gives its pairs from lo - step and, once
+    no later span can come first, from lo; a first direction (step 1) has
+    none, so it never pulls a span ahead of the one it reads."""
+    later = deque()  # own ranges of narrow spans, not given yet
+    for lo, hi in spans:
+        kept.append((lo, hi))
+        while later and later[0][0] < lo - step:
+            yield later.popleft()
+        if hi - lo < step:
+            yield lo - step, hi - step
+            later.append((lo, hi))
+        else:  # what is left in ``later`` lies in lo - step .. lo
+            yield lo - step, hi
+            later.clear()
+    yield from later
 
 
 def _descent(entries, step: int, block: int, lo: int, hi: int) -> int | None:
@@ -380,7 +431,7 @@ def _descent(entries, step: int, block: int, lo: int, hi: int) -> int | None:
     chunk = entries[lo : head if head < hi + step else hi + step]
     if all(map(operator.lt, chunk, chunk[step:])):
         for lo in range(head, hi, block):
-            chunk = entries[lo : lo + block]
+            chunk = entries[lo : lo + block if lo + block < hi + step else hi + step]
             if not all(map(operator.lt, chunk, chunk[step:])):
                 break
         else:

@@ -298,7 +298,10 @@ def _copy_witness(
 
 def format_jof(steps: Sequence[Step]) -> str:
     """Render steps in the CLI text syntax, e.g. ``1:5,2:2,1:3``."""
-    return ",".join(f"{j}:{f}" for j, f in steps)
+    try:
+        return ",".join(f"{j}:{f}" for j, f in steps)
+    except (TypeError, ValueError):  # no pairs to unpack
+        raise InputError(f"steps must be (direction, factor) pairs, got {_shown(steps)}") from None
 
 
 def parse_jof(text: str) -> JointOrderedFactorisation:
@@ -307,11 +310,15 @@ def parse_jof(text: str) -> JointOrderedFactorisation:
     The number of directions is the largest direction index mentioned,
     which may not exceed the number of steps.
     """
-    body = text.strip()
+    try:
+        body = text.strip()
+        pieces = body.split(",")
+    except (AttributeError, TypeError):
+        raise InputError(f"JOF text must be a string, got {_shown(text)}") from None
     if not body:
         raise InputError("empty joint ordered factorisation")
     steps: list[Step] = []
-    for piece in body.split(","):
+    for piece in pieces:
         part = piece.strip()
         try:
             j_text, f_text = part.split(":")

@@ -657,17 +657,25 @@ def _golden_mutation(rng, kind, dims, entries) -> None:
         k, src = rng.randrange(dims[-1]), rng.randrange(dims[-1])
         entries[k * width : (k + 1) * width] = entries[src * width : (src + 1) * width]
     elif kind == "inner":  # +-1 off every axis where no line stops increasing
-        strides = [math.prod(dims[:j]) for j in range(len(dims))]
         for p in rng.sample(range(size), min(size, 40)):
-            index = [p // s % n for s, n in zip(strides, dims)]
-            ups = [entries[p + s] for s, k, n in zip(strides, index, dims) if k < n - 1]
-            downs = [entries[p - s] for s, k in zip(strides, index) if k > 0]
-            x = entries[p]
-            if sum(k > 0 for k in index) < 2:
-                continue
-            if all(y > x + 1 for y in ups) or all(y < x - 1 for y in downs):
-                entries[p] = x + 1 if all(y > x + 1 for y in ups) else x - 1
+            if step := _inner_step(dims, entries, p):
+                entries[p] += step
                 return
+
+
+def _inner_step(dims, entries, p) -> int:
+    """+1 or -1 if moving the entry at p, off every axis, by it leaves every
+    line increasing (a vertex-sums fault alone), else 0."""
+    strides = [math.prod(dims[:j]) for j in range(len(dims))]
+    index = [p // s % n for s, n in zip(strides, dims)]
+    ups = [entries[p + s] for s, k, n in zip(strides, index, dims) if k < n - 1]
+    downs = [entries[p - s] for s, k in zip(strides, index) if k > 0]
+    x = entries[p]
+    if sum(k > 0 for k in index) < 2:
+        return 0
+    if all(y > x + 1 for y in ups):
+        return 1
+    return -1 if all(y < x - 1 for y in downs) else 0
 
 
 #: The mutations, "inner" (a vertex-sums fault alone) drawn twice as often.
@@ -684,7 +692,8 @@ def golden_cuboids(seed: int = GOLDEN_SEED):
     ratio, each valid or with one to three mutations and sometimes a
     unit dimension; then four of E4's size: the built cuboid, one inner
     entry raised by 1, a direction-1 tie with a later block bumped, and
-    a later block copied over another.
+    a later block copied over another; then the faults at the edges of
+    runs (``_golden_run_cases``).
     """
     rng = random.Random(seed)
     small = [dims for _, dims in dims_vectors_up_to(200) if len(dims) <= 4]
@@ -715,6 +724,67 @@ def golden_cuboids(seed: int = GOLDEN_SEED):
         for at, x in changes:
             entries[at] = x
         yield label, DIMS_E4, entries
+    yield from _golden_run_cases(rng, base)
+
+
+#: Faults at the edges of the runs that ``cuboid._dirty_spans`` names.
+GOLDEN_RUN_KINDS = [
+    "later-last", "gap-63", "gap-64", "high-half", "beside-unpackable", "unpackable-last",
+]
+
+
+def _golden_run_cases(rng, e4):
+    """Cuboids above the ratio whose one fault sits at the edge of a run:
+    the last entry of a block after an earlier vertex-sums fault, tied
+    with or bumped towards its successor in the last direction; two
+    faults 63 or 64 entries apart (one run, or two), vertex-sums faults
+    alone where the block has them, else +1 each; + 2**40,
+    which moves only a field's high half; a +-1 beside an entry that
+    does not pack as int64; or the last entry of a block, but the last
+    one, set beyond int64, which only its successor in the last
+    direction sees.  Then two of E4's size: the later last entry,
+    and two faults 63 apart."""
+    cases = ((dims, kind) for dims in GOLDEN_RATIO_DIMS for kind in GOLDEN_RUN_KINDS for _ in "ab")
+    for k, (dims, kind) in enumerate(cases):
+        entries = outer_entries(jof_parts(random_steps(rng, dims), dims))
+        _golden_run_fault(rng, kind, dims, entries)
+        yield f"run {k} {kind}", dims, entries
+    for kind in ("later-last", "gap-63"):
+        entries = list(e4)
+        _golden_run_fault(rng, kind, DIMS_E4, entries)
+        yield f"e4 run {kind}", DIMS_E4, entries
+
+
+def _golden_run_fault(rng, kind, dims, entries) -> None:
+    """Apply one fault of ``GOLDEN_RUN_KINDS`` to ``entries`` in place."""
+    size = len(entries)
+    width = size // dims[-1]
+    if kind == "later-last":
+        k = rng.randrange(dims[-1] - 1)
+        for p in rng.sample(range(k * width), min(k * width, 40)):  # an earlier vertex-sums fault
+            if step := _inner_step(dims, entries, p):
+                entries[p] += step
+                break
+        last = (k + 1) * width - 1
+        entries[last] = entries[last + width] if rng.random() < 0.5 else entries[last] + 1
+    elif kind.startswith("gap"):
+        gap = int(kind[4:])
+        start = rng.randrange(dims[-1]) * width
+        for p in rng.sample(range(start, start + width - gap), min(width - gap, 400)):
+            if _inner_step(dims, entries, p) and _inner_step(dims, entries, p + gap):
+                break
+        else:  # no two vertex-sums faults alone: +1 at both
+            p = start + rng.randrange(width - gap)
+        entries[p] += _inner_step(dims, entries, p) or 1
+        entries[p + gap] += _inner_step(dims, entries, p + gap) or 1
+    elif kind == "high-half":
+        entries[rng.randrange(1, size)] += 2**40
+    elif kind == "unpackable-last":
+        entries[(rng.randrange(dims[-1] - 1) + 1) * width - 1] = rng.choice([2**63, 2**70])
+    else:
+        p = rng.randrange(1, size - 1)
+        entries[p] += rng.choice([-1, 1])
+        entries[p + rng.choice([-1, 1])] = rng.choice([2**63, 2**70, -(2**63) - 1, 2.5])
 
 
 #: The documented errors a verifier, decomposer or constructor may raise.

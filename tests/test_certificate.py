@@ -12,6 +12,7 @@ shares no code with the library.  The walk itself is held to
 """
 
 import math
+import operator
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -58,7 +59,7 @@ from addsys.sumsystem import (
     verify_sum_system,
 )
 from conftest import DIMS_E4, E4_PARTS, JOF_E4
-from support import cuboid_scan_reference, divisors_ge2, walk_reference
+from support import cuboid_scan_reference, divisors_ge2, vertex_reference, walk_reference
 
 #: Dims whose product is at least the cuboid ratio times their sum.
 ABOVE_RATIO = [(2,) * 11, (3,) * 7, (4,) * 6, (8, 8, 8, 8)]
@@ -402,6 +403,54 @@ def dirty_block_cuboids(draw):
     return kind, Cuboid(dims, tuple(entries))
 
 
+@st.composite
+def block_faulted_cuboids(draw):
+    """Built cuboids above the ratio, faulted in one to three last-direction
+    blocks: sparse bumps, a swap, two bumps 63 or 64 entries apart (one
+    either side of the 64-entry join), a negative entry, an entry beyond
+    int64, a bool or float, or + 2**40, which moves only a field's high
+    half.  A fault may land on an axis, which moves the closed form."""
+    M = build_cuboid(draw(large_ratio_jofs(st.sampled_from(ABOVE_RATIO + [(130, 130)]))))
+    entries = list(M.entries)
+    width = M.size // M.dims[-1]
+    blocks = st.lists(st.integers(0, M.dims[-1] - 1), min_size=1, max_size=3, unique=True)
+    kinds = ["bump", "swap", "gap", "negative", "beyond", "odd", "high"]
+    for k in draw(blocks):
+        kind, start = draw(st.sampled_from(kinds)), k * width
+        at = st.integers(start, start + width - 1)
+        p = draw(at)
+        if kind == "bump":
+            for q in [p, *draw(st.lists(at, max_size=2))]:
+                entries[q] += draw(st.sampled_from([-2, -1, 1, 2]))
+        elif kind == "swap":
+            q = draw(at)
+            entries[p], entries[q] = entries[q], entries[p]
+        elif kind == "gap":
+            gap = draw(st.sampled_from([63, 64]))
+            p = draw(st.integers(start, start + width - 1 - gap))
+            entries[p] += draw(st.sampled_from([-1, 1]))
+            entries[p + gap] += draw(st.sampled_from([-1, 1]))
+        elif kind == "negative":
+            entries[p] = draw(st.sampled_from([-1, -entries[p] - 1]))
+        elif kind == "beyond":
+            entries[p] = draw(st.sampled_from([2**63, 2**70, -(2**63) - 1]))
+        elif kind == "odd":
+            entries[p] = draw(st.sampled_from([True, False, entries[p] + 0.5, float(entries[p])]))
+        else:
+            entries[p] += 2**40
+    return Cuboid(M.dims, tuple(entries))
+
+
+def closed_form(dims, entries) -> list:
+    """Every entry's sum of axis projections less (m - 1) times the root."""
+    strides = [math.prod(dims[:j]) for j in range(len(dims))]
+    root = entries[0]
+    return [
+        sum(entries[p // s % n * s] for s, n in zip(strides, dims)) - (len(dims) - 1) * root
+        for p in range(len(entries))
+    ]
+
+
 class TestCuboid:
     @given(mutated_large_cuboids())
     @settings(max_examples=150, deadline=None)
@@ -430,6 +479,65 @@ class TestCuboid:
             direction = M.order - (M.dims[-1] == 1)
             assert expected.witness["direction"] == direction
 
+    @given(block_faulted_cuboids())
+    @settings(max_examples=120, deadline=None)
+    def test_dirty_spans_are_the_runs_that_differ(self, M):
+        spans = list(addsys.cuboid._dirty_spans(M))
+        width = M.size // M.dims[-1]
+        differ = [x != v for x, v in zip(M.entries, closed_form(M.dims, M.entries))]
+        assert (spans[0][0] if spans else None) == vertex_reference(M.dims, M.entries)
+        assert all(lo < hi for lo, hi in spans)
+        for (_, hi), (lo, _) in zip(spans, spans[1:]):
+            # ascending and disjoint; within a block, runs closer than 64 are joined
+            assert hi <= lo and (lo - hi >= 64 or lo // width != (hi - 1) // width)
+        inside = [False] * M.size
+        for lo, hi in spans:
+            # a span starts at an entry that differs and ends at one, or at its block's end
+            assert differ[lo] and (differ[hi - 1] or hi % width == 0)
+            inside[lo:hi] = [True] * (hi - lo)
+        assert all(map(operator.le, differ, inside))
+        assert typed_outcome(verify_reversible, M) == reference_outcome(M)
+        assert typed_outcome(decompose_report, M) == reference_outcome(M)
+
+    def test_narrow_spans_are_read_in_flat_order(self):
+        # entry (i, k) is 256 (i - 1) + k - 1: direction 2 steps by 1, so +1 at
+        # (11, 2) ties (11, 3), and -1 at (6, 3) ties (6, 2).  The later
+        # span's pair (6, 2)-(6, 3) comes first in flat order.
+        dims = (256, 256)
+        entries = [256 * i + k for k in range(256) for i in range(256)]
+        entries[10 + 256] += 1
+        entries[5 + 2 * 256] -= 1
+        M = Cuboid(dims, tuple(entries))
+        assert list(addsys.cuboid._dirty_spans(M)) == [(266, 267), (517, 518)]
+        witness = {"direction": 2, "index": [6, 2]}
+        expected = VerificationReport.fail("monotonicity", witness=witness)
+        assert cuboid_scan_reference(dims, entries) == expected
+        assert verify_reversible(M) == expected
+
+    @given(st.lists(st.integers(0, 200), max_size=12, unique=True), st.integers(1, 40))
+    def test_pair_ranges_cover_the_touching_pairs_in_order(self, cuts, step):
+        cuts.sort()
+        spans = list(zip(cuts[::2], cuts[1::2]))
+        kept = []
+        ranges = list(addsys.cuboid._pair_ranges(iter(spans), step, kept))
+        assert kept == spans
+        assert [lo for lo, _ in ranges] == sorted(lo for lo, _ in ranges)
+        touching = {i for lo, hi in spans for i in range(lo - step, hi) if i < hi - step or i >= lo}
+        assert {i for lo, hi in ranges for i in range(lo, hi)} == touching
+
+    def test_unpacked_block_spans_to_its_end(self):
+        # 2**70 does not pack: its block is compared entry by entry, and
+        # spans from its first mismatch to its end, the bumped last entry
+        M = build_cuboid(JointOrderedFactorisation(((1, 8), (2, 8), (3, 8), (4, 8)), (8,) * 4))
+        entries = list(M.entries)
+        entries[2 * 512 + 100] = 2**70
+        entries[3 * 512 - 1] += 1
+        M = Cuboid(M.dims, tuple(entries))
+        assert list(addsys.cuboid._dirty_spans(M)) == [(2 * 512 + 100, 3 * 512)]
+        entries[2 * 512 + 100] = M.entries[2 * 512 + 99] + 1
+        M = Cuboid(M.dims, tuple(entries))
+        assert list(addsys.cuboid._dirty_spans(M)) == [(3 * 512 - 1, 3 * 512)]
+
     def test_e4_vertex_reject_reads_only_its_block(self, monkeypatch, e4_cuboid):
         # [7, 3, 4, 5, 6] is off every axis, and +1 leaves every line increasing
         width = e4_cuboid.size // DIMS_E4[-1]
@@ -447,13 +555,14 @@ class TestCuboid:
         monkeypatch.setattr(addsys.cuboid, "_descent", counted)
         report = verify_reversible(bumped)
         assert report == VerificationReport.fail("vertex-sums", witness=[7, 3, 4, 5, 6])
-        # p's block alone is dirty: direction j < m reads at most width + s_j
-        # pairs, direction m those from p - width on, at most 2 * width
-        assert 0 < sum(pairs) <= (len(DIMS_E4) + 1) * width
+        # p alone differs: each direction reads its two pairs (p - s_j, p) and
+        # (p, p + s_j), not the s_j pairs between them
+        assert sum(pairs) == 2 * len(DIMS_E4)
 
     def test_e4_direction_1_tie_returns_before_later_blocks(self, monkeypatch, e4_cuboid):
         # a direction-1 tie at last index 6 and a bump at last index 10: the
-        # tie is named from the first span alone, before block 7 is compared
+        # tie is named from the first span, its one differing entry, alone,
+        # before block 7 is compared
         width = e4_cuboid.size // DIMS_E4[-1]
         entries = list(e4_cuboid.entries)
         entries[5 * width + 29] = entries[5 * width + 28]
@@ -471,7 +580,7 @@ class TestCuboid:
         report = verify_reversible(M)
         witness = {"direction": 1, "index": [1, 2, 1, 1, 6]}
         assert report == VerificationReport.fail("monotonicity", witness=witness)
-        assert spans == [(5 * width + 29, 6 * width)]
+        assert spans == [(5 * width + 29, 5 * width + 30)]
 
     def test_unit_dimension_both_routes(self):
         M = build_cuboid(JointOrderedFactorisation(tuple((j, 2) for j in range(1, 12)), (2,) * 11))

@@ -44,6 +44,8 @@ from addsys.factorisation import (
     canonicalise,
     count_jofs,
     enumerate_jofs,
+    format_jof,
+    parse_jof,
     validate_jof,
 )
 from addsys import squares, sumsystem
@@ -67,6 +69,8 @@ def _magic(v):
 #: format it in decimal.
 HUGE = 10**5000
 SHOWN = "<int of 16610 bits>"
+PAIRS = r"steps must be \(direction, factor\) pairs"
+JOF_TEXT = "JOF text must be a string"
 
 
 #: Each row: a call with a hostile value, then either the documented
@@ -194,6 +198,12 @@ HOSTILE = {
     "minkowski_sum iterator set": (
         lambda: minkowski_sum([iter([0, 1]), (0, 2)]), None, [0, 1, 2, 3],
     ),
+    "format_jof triple": (
+        lambda: format_jof([(1, 2, 3)]), InputError, rf"^{PAIRS}, got \[\(1, 2, 3\)\]$",
+    ),
+    "format_jof bare step": (lambda: format_jof([1]), InputError, rf"^{PAIRS}, got \[1\]$"),
+    "parse_jof int": (lambda: parse_jof(5), InputError, f"^{JOF_TEXT}, got 5$"),
+    "parse_jof bytes": (lambda: parse_jof(b"1:2"), InputError, f"^{JOF_TEXT}, got b'1:2'$"),
     "cli sumsys float dims": (
         lambda: _cli('{"dims":[2.0,2.0],"parts":[[0,1],[0,2]]}', "sumsys", "verify", "-"),
         None, 2,
