@@ -656,11 +656,17 @@ def _golden_mutation(rng, kind, dims, entries) -> None:
     elif kind == "block":
         k, src = rng.randrange(dims[-1]), rng.randrange(dims[-1])
         entries[k * width : (k + 1) * width] = entries[src * width : (src + 1) * width]
-    elif kind == "inner":  # +-1 off every axis where no line stops increasing
-        for p in rng.sample(range(size), min(size, 40)):
-            if step := _inner_step(dims, entries, p):
-                entries[p] += step
-                return
+    elif kind == "inner":
+        _inner_fault(rng, dims, entries, size)
+
+
+def _inner_fault(rng, dims, entries, stop) -> None:
+    """+-1 at one of 40 entries before ``stop``, off every axis, where no
+    line stops increasing: a vertex-sums fault alone, if one is found."""
+    for p in rng.sample(range(stop), min(stop, 40)):
+        if step := _inner_step(dims, entries, p):
+            entries[p] += step
+            return
 
 
 def _inner_step(dims, entries, p) -> int:
@@ -761,10 +767,7 @@ def _golden_run_fault(rng, kind, dims, entries) -> None:
     width = size // dims[-1]
     if kind == "later-last":
         k = rng.randrange(dims[-1] - 1)
-        for p in rng.sample(range(k * width), min(k * width, 40)):  # an earlier vertex-sums fault
-            if step := _inner_step(dims, entries, p):
-                entries[p] += step
-                break
+        _inner_fault(rng, dims, entries, k * width)
         last = (k + 1) * width - 1
         entries[last] = entries[last + width] if rng.random() < 0.5 else entries[last] + 1
     elif kind.startswith("gap"):
