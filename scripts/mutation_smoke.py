@@ -72,6 +72,13 @@ MUTANTS = [
         ("tests/test_certificate.py", "tests/test_golden.py"),
     ),
     (
+        "descent-wide-read",
+        "cuboid.py",
+        "entries[lo:end], entries[lo + step : end + step]",
+        "entries[lo:end], entries[lo : end + step][step:]",
+        ("tests/test_certificate.py",),
+    ),
+    (
         "unit-dim-scanned",
         "cuboid.py",
         "        if n == 1:\n            continue\n",

@@ -321,8 +321,8 @@ def verify_reversible(M: Cuboid) -> VerificationReport:
     entry p.  No other pair comes first: every entry outside the spans, p's
     predecessors included, equals V, and a pair whose ends both equal V
     increases.  A span narrower than a direction's step is read as its two
-    sets of pairs, (i - s_j, i) and (i, i + s_j), not the pairs between
-    them.  A tabulated cuboid has no spans: its parts, from 0, are its
+    sets of pairs, (i - s_j, i) and (i, i + s_j), not the pairs or entries
+    between them.  A tabulated cuboid has no spans: its parts, from 0, are its
     axes.  Other inputs get the ordered scan.  ``Cuboid._of_ints`` marks
     skip both type passes.
     """
@@ -426,17 +426,16 @@ def _pair_ranges(spans, step: int, kept: list) -> Iterator[tuple[int, int]]:
 
 def _descent(entries, step: int, block: int, lo: int, hi: int) -> int | None:
     """First i in lo .. hi - 1 whose pair (i, i + step) lies in one block
-    of ``block`` entries and does not increase, or None."""
-    head = lo - lo % block + block  # the end of lo's block
-    chunk = entries[lo : head if head < hi + step else hi + step]
-    if all(map(operator.lt, chunk, chunk[step:])):
-        for lo in range(head, hi, block):
-            chunk = entries[lo : lo + block if lo + block < hi + step else hi + step]
-            if not all(map(operator.lt, chunk, chunk[step:])):
-                break
-        else:
-            return None
-    return next(compress(count(lo), map(operator.ge, chunk, chunk[step:])))
+    of ``block`` entries and does not increase, or None.  The two ends are
+    read as separate slices, so a range costs O(hi - lo), not O(step)."""
+    while lo < hi:
+        head = lo - lo % block + block  # the end of lo's block
+        end = head - step if head - step < hi else hi  # pairs from i >= end leave it
+        low, high = entries[lo:end], entries[lo + step : end + step]
+        if not all(map(operator.lt, low, high)):
+            return next(compress(count(lo), map(operator.ge, low, high)))
+        lo = head
+    return None
 
 
 def decompose_cuboid(M: Cuboid, check: bool = True) -> JointOrderedFactorisation:

@@ -33,6 +33,7 @@ from addsys.cuboid import (
     _scan_reversible,
     build_cuboid,
     decompose_cuboid,
+    multi_index,
     verify_reversible,
 )
 from addsys.factorisation import (
@@ -441,6 +442,28 @@ def block_faulted_cuboids(draw):
     return Cuboid(M.dims, tuple(entries))
 
 
+def count_descent_reads(monkeypatch, M: Cuboid) -> tuple[list, list]:
+    """Lists that ``cuboid._descent`` fills, once patched, with the pairs of
+    each range it is given and the length of each slice it takes of M."""
+    pairs, read = [], []
+
+    class Counted(tuple):
+        def __getitem__(self, key):
+            if isinstance(key, slice):
+                read.append(len(range(*key.indices(len(self)))))
+            return tuple.__getitem__(self, key)
+
+    entries = Counted(M.entries)
+
+    def counted(_, step, block, lo, hi):
+        pairs.append(hi - lo)
+        return descent(entries, step, block, lo, hi)
+
+    descent = addsys.cuboid._descent
+    monkeypatch.setattr(addsys.cuboid, "_descent", counted)
+    return pairs, read
+
+
 def closed_form(dims, entries) -> list:
     """Every entry's sum of axis projections less (m - 1) times the root."""
     strides = [math.prod(dims[:j]) for j in range(len(dims))]
@@ -545,19 +568,41 @@ class TestCuboid:
         entries = list(e4_cuboid.entries)
         entries[p] += 1
         bumped = Cuboid(DIMS_E4, tuple(entries))
-        pairs = []
-
-        def counted(entries, step, block, lo, hi):
-            pairs.append(hi - lo)  # at least the pairs it compares
-            return descent(entries, step, block, lo, hi)
-
-        descent = addsys.cuboid._descent
-        monkeypatch.setattr(addsys.cuboid, "_descent", counted)
+        pairs, read = count_descent_reads(monkeypatch, bumped)
         report = verify_reversible(bumped)
         assert report == VerificationReport.fail("vertex-sums", witness=[7, 3, 4, 5, 6])
         # p alone differs: each direction reads its two pairs (p - s_j, p) and
-        # (p, p + s_j), not the s_j pairs between them
+        # (p, p + s_j), not the s_j pairs between them, nor the entries between
         assert sum(pairs) == 2 * len(DIMS_E4)
+        assert sum(read) == 2 * sum(pairs)
+
+    def test_e4_scattered_vertex_faults_read_only_their_pairs(self, monkeypatch, e4_cuboid):
+        # one +-1 fault in each window of 12,000 entries, off every axis and
+        # leaving every line increasing: 303 one-entry spans in all 12 blocks,
+        # read as their own pairs, not as the whole tensor in each direction
+        strides = [math.prod(DIMS_E4[:j]) for j in range(len(DIMS_E4))]
+        entries = list(e4_cuboid.entries)
+        faults = []
+        for q in range(0, e4_cuboid.size, 12_000):
+            for p in range(q, q + 500):
+                index, x = multi_index(DIMS_E4, p), entries[p]
+                if sum(k > 1 for k in index) < 2:
+                    continue
+                if all(entries[p + s] > x + 1 for s, k, n in zip(strides, index, DIMS_E4) if k < n):
+                    entries[p] += 1
+                elif all(entries[p - s] < x - 1 for s, k in zip(strides, index) if k > 1):
+                    entries[p] -= 1
+                else:
+                    continue
+                faults.append(p)
+                break
+        M = Cuboid(DIMS_E4, tuple(entries))
+        assert list(addsys.cuboid._dirty_spans(M)) == [(p, p + 1) for p in faults]
+        pairs, read = count_descent_reads(monkeypatch, M)
+        witness = list(multi_index(DIMS_E4, faults[0]))
+        assert verify_reversible(M) == VerificationReport.fail("vertex-sums", witness=witness)
+        assert sum(pairs) <= 2 * len(DIMS_E4) * len(faults)
+        assert sum(read) <= 2 * sum(pairs)
 
     def test_e4_direction_1_tie_returns_before_later_blocks(self, monkeypatch, e4_cuboid):
         # a direction-1 tie at last index 6 and a bump at last index 10: the
