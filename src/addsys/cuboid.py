@@ -340,7 +340,7 @@ def verify_reversible(M: Cuboid) -> VerificationReport:
 
 def _scan_reversible(M: Cuboid) -> VerificationReport:
     """The ordered scan: monotonicity, vertex sums, then the entry set."""
-    report = _monotonicity(M, ((0, M.size),)) or _vertex_report(M, _vertex_mismatch(M))
+    report = _monotonicity(M) or _vertex_report(M, _vertex_mismatch(M))
     if not report.passed:
         return report
     size = M.size
@@ -384,23 +384,28 @@ def _non_int_entry(M: Cuboid) -> InputError:
     )
 
 
-def _monotonicity(M: Cuboid, spans: Iterable[tuple[int, int]]) -> VerificationReport | None:
+def _monotonicity(
+    M: Cuboid, spans: Iterable[tuple[int, int]] | None = None
+) -> VerificationReport | None:
     """The first line pair, direction by direction, that does not increase,
     of the pairs (i, i + s_j) touching ``spans``, ascending flat ranges (lo,
-    hi) pulled only as read; directions of size 1 hold no pairs: skipped."""
+    hi) pulled only as read, or of every pair when ``spans`` is None (the
+    ordered scan, which so skips ``_pair_ranges``' set-up on small tensors);
+    directions of size 1 hold no pairs: skipped."""
     entries = M.entries
     for j, (step, n) in enumerate(zip(_strides(M.dims), M.dims), start=1):
         if n == 1:
             continue
         done, kept = 0, []  # pairs from i < done were read for an earlier range
-        for lo, hi in _pair_ranges(spans, step, kept):
+        for lo, hi in ((0, M.size),) if spans is None else _pair_ranges(spans, step, kept):
             if hi > done:
                 i = _descent(entries, step, step * n, lo if lo > done else done, hi)
                 if i is not None:
                     where = {"direction": j, "index": list(multi_index(M.dims, i))}
                     return VerificationReport.fail("monotonicity", witness=where)
                 done = hi
-        spans = kept
+        if spans is not None:
+            spans = kept
     return None
 
 
