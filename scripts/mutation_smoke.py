@@ -86,6 +86,27 @@ MUTANTS = [
         ("tests/test_cuboid.py",),
     ),
     (
+        "step-one-range-from-lo",
+        "cuboid.py",
+        "                lo -= 1\n",
+        "",
+        ("tests/test_certificate.py", "tests/test_cuboid.py"),
+    ),
+    (
+        "narrow-span-read-whole",
+        "cuboid.py",
+        "if hi - lo >= step",
+        "if True",
+        ("tests/test_certificate.py",),
+    ),
+    (
+        "entry-set-low-open",
+        "core.py",
+        "lo <= x",
+        "lo < x",
+        ("tests/test_cuboid.py", "tests/test_squares.py"),
+    ),
+    (
         "packed-field-32",
         "squares.py",
         "(low.bit_length() - 1) // 64",

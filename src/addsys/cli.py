@@ -7,7 +7,8 @@ printed), 2 usage or input error, 3 resource cap exceeded.  Each
 subcommand is one row of ``_COMMANDS``, whose handler returns what the
 command prints: a JSON document, a ``VerificationReport`` (exit 1 when
 it failed) or CSV text.  Only ``main`` writes stdout and picks the exit
-code.
+code.  Handlers call public names through their modules, at call time,
+so a wrapper set on a module (a tracer's) sees each call.
 """
 
 from __future__ import annotations
@@ -126,14 +127,16 @@ def _sumsys_decompose(args: argparse.Namespace) -> dict:
 
 def _sds_from_sumsys(args: argparse.Namespace) -> dict:
     ss = sumsys_mod.from_json_doc(_load_json(args.source))
-    flavour = args.flavour or sds_mod.infer_flavour(ss)
-    return sds_mod.to_json_doc(sds_mod._from_sumsys(ss, flavour, args.max_product, check=True))
+    inclusive = (args.flavour or sds_mod.infer_flavour(ss)) == sds_mod.INCLUSIVE
+    to_sds = sds_mod.sumsys_to_sds_inclusive if inclusive else sds_mod.sumsys_to_sds_noninclusive
+    return sds_mod.to_json_doc(to_sds(ss, cap=args.max_product))
 
 
 def _sds_to_sumsys(args: argparse.Namespace) -> dict:
     system = sds_mod.from_json_doc(_load_json(args.source))
-    ss = sds_mod._to_sumsys(system, system.flavour, args.max_product, check=True)
-    return sumsys_mod.to_json_doc(ss)
+    inclusive = system.flavour == sds_mod.INCLUSIVE
+    to_ss = sds_mod.sds_to_sumsys_inclusive if inclusive else sds_mod.sds_to_sumsys_noninclusive
+    return sumsys_mod.to_json_doc(to_ss(system, cap=args.max_product))
 
 
 def _sds_verify(args: argparse.Namespace) -> VerificationReport:
@@ -158,8 +161,9 @@ def _cuboid_decompose(args: argparse.Namespace) -> dict:
 
 def _square_reversible(args: argparse.Namespace) -> dict:
     system = _square_sds(args)
-    square = squares_mod._reversible_square(*system.parts, system.flavour, args.max_product)
-    return squares_mod.to_json_doc(square)
+    odd = system.flavour == sds_mod.INCLUSIVE
+    build = squares_mod.reversible_square_odd if odd else squares_mod.reversible_square_even
+    return squares_mod.to_json_doc(build(*system.parts, cap=args.max_product))
 
 
 def _square_magic(args: argparse.Namespace) -> dict:

@@ -299,10 +299,23 @@ def _outer_sums(sets: Iterable[Iterable[int]]) -> list[int]:
     return sums
 
 
+def _entry_set_witness(values: Iterable[int], lo: int, hi: int) -> int | None:
+    """The first value outside lo .. hi (lo >= 0) or already seen, else None:
+    then hi - lo + 1 values are exactly lo .. hi."""
+    seen = bytearray(hi + 1)
+    for x in values:
+        if not lo <= x <= hi or seen[x]:
+            return x
+        seen[x] = 1
+    return None
+
+
 def is_progression(multiset: Sequence[int], p: Progression) -> VerificationReport:
     """Does a sorted multiset equal a progression with multiplicity one each?"""
+    if not isinstance(p, Progression):
+        raise InputError(f"p must be a Progression, got {_shown(p)}")
     expected = range(p.start, p.start + p.step * p.count, p.step)
-    actual = multiset if isinstance(multiset, (list, tuple)) else list(multiset)
+    actual = multiset if isinstance(multiset, (list, tuple)) else _frozen(multiset, "multiset")
     if len(actual) != len(expected):
         return VerificationReport.fail("cardinality", witness=len(actual))
     i = next(compress(count(), map(ne, actual, expected)), None)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import operator
 import re
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, compress, count, product
@@ -32,6 +31,7 @@ from .core import (
     VerificationReport,
     _are_ints,
     _document,
+    _entry_set_witness,
     _frozen,
     _outer_sums,
     _require_cap,
@@ -137,6 +137,7 @@ def kron_dir(v: Sequence[int], j: int, M: Cuboid) -> Cuboid:
         raise InputError("weight vector is empty")
     _require_ints(weights, "weights must be non-negative integers", lo=0)
     ensure_int64(max(weights) * max(M.entries), "scaled entry")
+    ensure_int64(max(weights) * min(M.entries), "scaled entry")
     return _stacked(M, j, [partial(operator.mul, w) for w in weights])
 
 
@@ -320,11 +321,12 @@ def verify_reversible(M: Cuboid) -> VerificationReport:
     that differ from V), or else vertex sums at the first span's first
     entry p.  No other pair comes first: every entry outside the spans, p's
     predecessors included, equals V, and a pair whose ends both equal V
-    increases.  A span narrower than a direction's step is read as its two
-    sets of pairs, (i - s_j, i) and (i, i + s_j), not the pairs or entries
-    between them.  A tabulated cuboid has no spans: its parts, from 0, are its
-    axes.  Other inputs get the ordered scan.  ``Cuboid._of_ints`` marks
-    skip both type passes.
+    increases.  The first direction with pairs (step 1) pulls spans only as
+    it reads them; a span narrower than a later step s_j is read as its two
+    sets of pairs, (i - s_j, i) and (i, i + s_j), not those between them.  A
+    tabulated cuboid has no spans: its parts, from 0, are its axes.  Other
+    inputs get the ordered scan: the same reader on one span of all entries.
+    ``Cuboid._of_ints`` marks skip both type passes.
     """
     if not M._ints:
         _require_int_entries(M)
@@ -340,15 +342,12 @@ def verify_reversible(M: Cuboid) -> VerificationReport:
 
 def _scan_reversible(M: Cuboid) -> VerificationReport:
     """The ordered scan: monotonicity, vertex sums, then the entry set."""
-    report = _monotonicity(M) or _vertex_report(M, _vertex_mismatch(M))
+    report = _monotonicity(M, ((0, M.size),)) or _vertex_report(M, _vertex_mismatch(M))
     if not report.passed:
         return report
-    size = M.size
-    seen = bytearray(size)
-    for x in M.entries:
-        if not (0 <= x < size) or seen[x]:
-            return VerificationReport.fail("entry-set", witness=x)
-        seen[x] = 1
+    x = _entry_set_witness(M.entries, 0, M.size - 1)
+    if x is not None:
+        return VerificationReport.fail("entry-set", witness=x)
     return VerificationReport.ok() if M._ints else _pass_if_exact_ints(M)
 
 
@@ -384,49 +383,40 @@ def _non_int_entry(M: Cuboid) -> InputError:
     )
 
 
-def _monotonicity(
-    M: Cuboid, spans: Iterable[tuple[int, int]] | None = None
-) -> VerificationReport | None:
+def _monotonicity(M: Cuboid, spans: Iterable[tuple[int, int]]) -> VerificationReport | None:
     """The first line pair, direction by direction, that does not increase,
     of the pairs (i, i + s_j) touching ``spans``, ascending flat ranges (lo,
-    hi) pulled only as read, or of every pair when ``spans`` is None (the
-    ordered scan, which so skips ``_pair_ranges``' set-up on small tensors);
-    directions of size 1 hold no pairs: skipped."""
-    entries = M.entries
+    hi); the ordered scan passes ``((0, M.size),)``.  Directions of size 1
+    hold no pairs and are skipped, so the first direction read has step 1:
+    it pulls each span only as it reads the span's pairs, lo - 1 .. hi - 1,
+    and every later direction reads ``_pair_ranges`` of the spans pulled."""
+    entries, pulled, first = M.entries, [], True
     for j, (step, n) in enumerate(zip(_strides(M.dims), M.dims), start=1):
         if n == 1:
             continue
-        done, kept = 0, []  # pairs from i < done were read for an earlier range
-        for lo, hi in ((0, M.size),) if spans is None else _pair_ranges(spans, step, kept):
-            if hi > done:
+        done = 0  # pairs from i < done were read for an earlier range
+        for lo, hi in spans if first else _pair_ranges(pulled, step):
+            if first:
+                pulled.append((lo, hi))
+                lo -= 1
+            if hi > done:  # a negative lo, below done = 0, reads from 0
                 i = _descent(entries, step, step * n, lo if lo > done else done, hi)
                 if i is not None:
                     where = {"direction": j, "index": list(multi_index(M.dims, i))}
                     return VerificationReport.fail("monotonicity", witness=where)
                 done = hi
-        if spans is not None:
-            spans = kept
+        first = False
     return None
 
 
-def _pair_ranges(spans, step: int, kept: list) -> Iterator[tuple[int, int]]:
+def _pair_ranges(spans: list[tuple[int, int]], step: int) -> list[tuple[int, int]]:
     """Ranges (lo, hi) of the lower ends i of the pairs (i, i + step) that
-    touch ``spans``, by ascending lo; each span pulled is added to ``kept``.
-    A span narrower than ``step`` gives its pairs from lo - step and, once
-    no later span can come first, from lo; a first direction (step 1) has
-    none, so it never pulls a span ahead of the one it reads."""
-    later = deque()  # own ranges of narrow spans, not given yet
+    touch ``spans``, sorted: (lo - step, hi) for a span at least ``step``
+    wide; for a narrower one, its pairs from lo - step and from lo only."""
+    ranges = []
     for lo, hi in spans:
-        kept.append((lo, hi))
-        while later and later[0][0] < lo - step:
-            yield later.popleft()
-        if hi - lo < step:
-            yield lo - step, hi - step
-            later.append((lo, hi))
-        else:  # what is left in ``later`` lies in lo - step .. lo
-            yield lo - step, hi
-            later.clear()
-    yield from later
+        ranges += [(lo - step, hi)] if hi - lo >= step else [(lo - step, hi - step), (lo, hi)]
+    return sorted(ranges)
 
 
 def _descent(entries, step: int, block: int, lo: int, hi: int) -> int | None:

@@ -19,7 +19,9 @@ from math import isqrt, prod
 from operator import ge, ne
 from typing import Iterator, Sequence
 
-from .core import InputError, InternalContradictionError, VerificationReport, _are_ints, _shown
+from .core import (
+    InputError, InternalContradictionError, VerificationReport, _are_ints, _frozen, _shown,
+)
 
 Step = tuple[int, int]
 
@@ -53,10 +55,10 @@ def _divisors_ge2(n: int) -> tuple[int, ...]:
 def validate_jof(steps: Sequence[Step], dims: Sequence[int]) -> VerificationReport:
     """Check the two defining clauses plus step shape, factor and direction ranges.
 
-    Violations come back as failed reports, never exceptions, so callers
-    can surface them verbatim.
+    Violations come back as failed reports, so callers can surface them
+    verbatim; steps or dims that are not iterable raise InputError.
     """
-    dims = tuple(dims)
+    steps, dims = _frozen(steps, "steps"), _frozen(dims, "dims")
     pairs = []  # the steps up to the first that is not two values
     try:
         for j, f in steps:
@@ -104,7 +106,7 @@ def _require_buildable(jof: JointOrderedFactorisation) -> None:
 
 
 def _require_enumerable(dims: Sequence[int]) -> tuple[int, ...]:
-    dims = tuple(dims)
+    dims = _frozen(dims, "dims")
     if not dims:
         raise InputError("dims vector is empty")
     if not _are_ints(dims, lo=2):
@@ -186,7 +188,7 @@ def canonicalise(steps: Sequence[Step], dims: Sequence[int]) -> JointOrderedFact
     The input must already satisfy the per-direction product clause;
     only the adjacency clause may be violated.  Idempotent.
     """
-    dims = tuple(dims)
+    steps, dims = _frozen(steps, "steps"), _frozen(dims, "dims")
     report = validate_jof(steps, dims)
     if not report.passed and report.violated_invariant != "adjacent-directions":
         raise InputError(f"cannot canonicalise: {report._described()}")

@@ -24,6 +24,7 @@ from .core import (
     VerificationReport,
     _are_ints,
     _document,
+    _entry_set_witness,
     _frozen,
     _require_cap,
     _require_ints,
@@ -166,7 +167,6 @@ def associated_magic_square(
     if nu % 2:
         raise InputError(f"part size must be even, got {nu}")
     vs, ws = _sign_vector(v, nu, "v"), _sign_vector(w, nu, "w")
-    n = 2 * nu
     alpha, beta = _signed(first, False)[::-1], _signed(second, False)[::-1]
     return _rank_two_square(vs + vs[::-1], beta, alpha, ws + ws[::-1])
 
@@ -187,23 +187,9 @@ def most_perfect_square(
     nu = len(first)
     if nu % 2:
         raise InputError(f"part size must be even, got {nu}")
-    n = 2 * nu
     sigma, r = (1, -1) * nu, first + tuple(-x for x in first)
     q = second + tuple(-x for x in second)
     return _rank_two_square(sigma, r, q, sigma)
-
-
-def _entry_set_witness(M: SquareMatrix) -> int | None:
-    n, flat = M.n, list(chain.from_iterable(M.rows))
-    # n^2 distinct values in 1 .. n^2 are exactly 1 .. n^2.
-    if min(flat) >= 1 and max(flat) <= n * n and len(set(flat)) == n * n:
-        return None
-    seen = bytearray(n * n + 1)
-    for value in flat:
-        if not (1 <= value <= n * n) or seen[value]:
-            return value
-        seen[value] = 1
-    return None
 
 
 def _entry_set_certified(d) -> bool:
@@ -268,7 +254,8 @@ def verify_square(M: SquareMatrix, kind: str) -> VerificationReport:
 
     # A reversible square's first vertex mismatch; 0 for other kinds, whose sets are read
     p = _vertex_mismatch(Cuboid((n, n), tuple(chain(*d)))) if kind == "reversible" else 0
-    witness = None if p is None and _entry_set_certified(d) else _entry_set_witness(M)
+    certified = p is None and _entry_set_certified(d)
+    witness = None if certified else _entry_set_witness(chain(*d), 1, n * n)
     if witness is not None:
         return fail("entry-set", witness)
     if kind == "reversible":

@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from addsys import sds as sds_mod, squares as squares_mod
 from addsys.cli import _COMMANDS, main
 from conftest import (
     E1A_PARTS,
@@ -406,6 +407,46 @@ def test_max_product_applies_to_every_subcommand(capsys, argv, stdin):
 
 def test_capped_forms_cover_every_subcommand():
     assert {tuple(argv[:2]) for argv, _ in CAPPED_FORMS.values()} == TABLE_COMMANDS
+
+
+ODD_SUMSYS_DOC = '{"dims":[3],"parts":[[0,1,2]]}'
+INCLUSIVE_DOC = '{"flavour":"inclusive","parts":[[1],[3]]}'
+
+#: Commands whose work is one public map or builder: (argv, stdin, module, name).
+PUBLIC_CALLS = {
+    "sds from-sumsys even": (
+        ["sds", "from-sumsys", "-"], SUMSYS_DOC, sds_mod, "sumsys_to_sds_noninclusive",
+    ),
+    "sds from-sumsys odd": (
+        ["sds", "from-sumsys", "-"], ODD_SUMSYS_DOC, sds_mod, "sumsys_to_sds_inclusive",
+    ),
+    "sds to-sumsys non-inclusive": (
+        ["sds", "to-sumsys", "-"], SDS_DOC, sds_mod, "sds_to_sumsys_noninclusive",
+    ),
+    "sds to-sumsys inclusive": (
+        ["sds", "to-sumsys", "-"], INCLUSIVE_DOC, sds_mod, "sds_to_sumsys_inclusive",
+    ),
+    "square reversible even": (
+        ["square", "reversible", "--sds", "-"], SDS_DOC, squares_mod, "reversible_square_even",
+    ),
+    "square reversible odd": (
+        ["square", "reversible", "--sds", "-"], INCLUSIVE_DOC, squares_mod, "reversible_square_odd",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, module, name", PUBLIC_CALLS.values(), ids=list(PUBLIC_CALLS)
+)
+def test_commands_call_the_public_name(capsys, monkeypatch, argv, stdin, module, name):
+    # A wrapper set on the module, as a tracer installs one, must see the call.
+    expected = run_cli(capsys, *argv, stdin=stdin)
+    calls = []
+    public = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or public(*a, **k))
+    assert run_cli(capsys, *argv, stdin=stdin) == expected
+    assert expected[0] == 0
+    assert len(calls) == 1
 
 
 #: Every command that reads a JSON document, without its source argument.

@@ -24,6 +24,7 @@ from addsys.core import (
     VerificationReport,
     as_component_set,
     ensure_int64,
+    is_progression,
     minkowski_sum,
 )
 from addsys.cuboid import (
@@ -207,6 +208,45 @@ HOSTILE = {
     "cli sumsys float dims": (
         lambda: _cli('{"dims":[2.0,2.0],"parts":[[0,1],[0,2]]}', "sumsys", "verify", "-"),
         None, 2,
+    ),
+    "kron_dir negative entry": (
+        lambda: kron_dir((4,), 1, Cuboid((2,), (-(2**62), 0))),
+        Int64OverflowError, "^scaled entry -18446744073709551616 exceeds",
+    ),
+    "count_jofs bare dims": (lambda: count_jofs(5), InputError, "^dims must be iterable, got 5$"),
+    "enumerate_jofs bare dims": (
+        lambda: list(enumerate_jofs(5)), InputError, "^dims must be iterable, got 5$",
+    ),
+    "validate_jof bare dims": (
+        lambda: validate_jof([(1, 2)], 5), InputError, "^dims must be iterable, got 5$",
+    ),
+    "validate_jof bare steps": (
+        lambda: validate_jof(5, [2]), InputError, "^steps must be iterable, got 5$",
+    ),
+    "canonicalise bare dims": (
+        lambda: canonicalise([(1, 2)], 5), InputError, "^dims must be iterable, got 5$",
+    ),
+    "is_progression list p": (
+        lambda: is_progression([1], [1]), InputError, r"^p must be a Progression, got \[1\]$",
+    ),
+    "is_progression bare multiset": (
+        lambda: is_progression(5, Progression(0, 1, 1)), InputError,
+        "^multiset must be iterable, got 5$",
+    ),
+    "strides returned": (lambda: strides((2, 3)), None, (1, 2)),
+    "building_op bad direction": (
+        lambda: building_op(2, 2, trivial_cuboid(1)), InputError, r"^direction 2 outside 1\.\.1$",
+    ),
+    "magic v short": (lambda: _magic((1,)), InputError, "^v must have length 2, got 1$"),
+    "square json n mismatch": (
+        lambda: squares.from_json_doc({"n": 2, "entries": [[1]]}),
+        InputError, "^'n' is 2 but the grid is 1 x 1$",
+    ),
+    "base_q_system q 1": (
+        lambda: base_q_system(1, 3), InputError, "^need q >= 2 and m >= 1, got q=1, m=3$",
+    ),
+    "minkowski_sum empty set": (
+        lambda: minkowski_sum([[]]), InputError, "^minkowski_sum requires nonempty sets$",
     ),
 }
 

@@ -473,7 +473,8 @@ class TestReversibleCertificate:
         calls = []
         entry_set_witness = squares_mod._entry_set_witness
         monkeypatch.setattr(
-            squares_mod, "_entry_set_witness", lambda M: calls.append(M) or entry_set_witness(M)
+            squares_mod, "_entry_set_witness",
+            lambda values, lo, hi: calls.append(lo) or entry_set_witness(values, lo, hi),
         )
         even, odd = derived_parts(8, "non-inclusive")[0], derived_parts(7, "inclusive")[0]
         for square in (reversible_square_even(*even), reversible_square_odd(*odd)):
