@@ -34,14 +34,14 @@ MUTANTS = [
         "sumsystem.py",
         "    if stop.witness is not None:\n",
         "    if False:\n",
-        ("tests/test_sumsystem.py", "tests/test_certificate.py"),
+        ("tests/test_sumsystem.py", "tests/test_certificate.py", "tests/test_golden.py"),
     ),
     (
         "sds-witness-sign",
         "sds.py",
         "witness=h * report.witness - lift)",
         "witness=h * report.witness + lift)",
-        ("tests/test_sds.py", "tests/test_certificate.py"),
+        ("tests/test_sds.py", "tests/test_certificate.py", "tests/test_golden.py"),
     ),
     (
         "unpacked-span-short",
@@ -126,6 +126,20 @@ MUTANTS = [
         "[n * pair_sum // 2 * ones]",
         "[n * pair_sum * ones]",
         ("tests/test_squares.py", "tests/test_golden.py"),
+    ),
+    (
+        "gate-failing-report-gated",
+        "cuboid.py",
+        "if M._ints or (report is not None and not report.passed):",
+        "if M._ints:",
+        ("tests/test_cuboid.py", "tests/test_golden.py"),
+    ),
+    (
+        "gate-pass-type-skipped",
+        "cuboid.py",
+        "ints = operator.countOf(map(type, M.entries), int) == M.size",
+        "ints = True",
+        ("tests/test_cuboid.py", "tests/test_golden.py"),
     ),
 ]
 

@@ -2,12 +2,11 @@
 """Write tests/golden_corpus.json.gz, the outcomes the library gives on
 the fixed-seed inputs of ``tests/support.py``.
 
-The corpus holds two slices: ``"cuboid"``, the outcomes that
-``support.cuboid_outcomes`` records for each input of
-``support.golden_cuboids``, and ``"square"``, those of
-``support.square_outcomes`` for each input of ``support.golden_squares``.
-The file is gzip-compressed JSON, one case per line, so that a few
-thousand cases fit in well under 300 KB; ``zcat`` shows it.
+The corpus holds one key per row of ``support.GOLDEN_SLICES``: the
+``"cuboid"``, ``"square"``, ``"sumsystem"`` and ``"sds"`` slices, each
+the outcomes that the row's outcome function records for each input of
+its generator.  The file is gzip-compressed JSON, one case per line, so
+that a few thousand cases fit in a few hundred KB; ``zcat`` shows it.
 ``tests/test_golden.py`` compares the library with it.  Run from the
 repository root:
 
@@ -27,23 +26,13 @@ TESTS = Path(__file__).resolve().parents[1] / "tests"
 GOLDEN = TESTS / "golden_corpus.json.gz"
 sys.path.insert(0, str(TESTS))
 
-from addsys.cuboid import Cuboid  # noqa: E402
-from support import (  # noqa: E402
-    GOLDEN_SEED,
-    cuboid_outcomes,
-    golden_cuboids,
-    golden_squares,
-    square_outcomes,
-)
+from support import GOLDEN_SEED, GOLDEN_SLICES  # noqa: E402
 
 
 def main() -> int:
     slices = {
-        "cuboid": [
-            [label, *cuboid_outcomes(Cuboid(dims, tuple(entries)))]
-            for label, dims, entries in golden_cuboids()
-        ],
-        "square": [[label, *square_outcomes(rows)] for label, rows in golden_squares()],
+        name: [[label, *outcomes(*args)] for label, *args in inputs()]
+        for name, (inputs, outcomes, _) in GOLDEN_SLICES.items()
     }
     old = json.loads(gzip.decompress(GOLDEN.read_bytes())) if GOLDEN.exists() else {}
     for name, cases in slices.items():

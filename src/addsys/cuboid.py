@@ -59,8 +59,7 @@ class Cuboid:
         # the cuboid hashable.  ``tuple(t) is t`` for a tuple.
         object.__setattr__(self, "dims", _frozen(self.dims, "dims"))
         object.__setattr__(self, "entries", _frozen(self.entries, "entries"))
-        # Entries are not read here.  The verifiers' type passes (about 85 ms on
-        # E4) skip the cuboids ``_of_ints`` marks: built or reader-gated ones.
+        # Entries are not read here: the verifiers and building operators ``_gate`` them.
         if not self.dims or not _are_ints(self.dims, lo=1):
             raise InputError(f"dims must be positive integers, got {_shown(list(self.dims))}")
         total = prod(self.dims)
@@ -128,7 +127,7 @@ def kron_dir(v: Sequence[int], j: int, M: Cuboid) -> Cuboid:
     """Direction-j Kronecker product: stack len(v) copies of M scaled by v.
 
     Copy l (0-based) occupies index range l*n_j + 1 .. (l+1)*n_j in
-    direction j and holds v[l] times the entries of M.
+    direction j and holds v[l] times the entries of M, which pass ``_gate``.
     """
     if not (_are_ints((j,)) and 1 <= j <= M.order):
         raise InputError(f"direction {j} outside 1..{M.order}")
@@ -136,16 +135,19 @@ def kron_dir(v: Sequence[int], j: int, M: Cuboid) -> Cuboid:
     if not weights:
         raise InputError("weight vector is empty")
     _require_ints(weights, "weights must be non-negative integers", lo=0)
+    _gate(M)
     ensure_int64(max(weights) * max(M.entries), "scaled entry")
     ensure_int64(max(weights) * min(M.entries), "scaled entry")
     return _stacked(M, j, [partial(operator.mul, w) for w in weights])
 
 
 def building_op(j: int, k: int, M: Cuboid) -> Cuboid:
-    """Stack k copies of M along direction j, copy l offset by l * size."""
+    """Stack k copies of M along direction j, copy l offset by l * size;
+    M's entries pass ``_gate``."""
     if not (_are_ints((j,)) and 1 <= j <= M.order):
         raise InputError(f"direction {j} outside 1..{M.order}")
     _require_ints((k,), "copy count must be a positive integer", lo=1)
+    _gate(M)
     total = M.size
     ensure_int64((k - 1) * total + max(M.entries), "offset entry")
     return _stacked(M, j, [partial(operator.add, l * total) for l in range(k)])
@@ -202,12 +204,11 @@ def verify_property_V(M: Cuboid) -> VerificationReport:
     """Vertex cross sum property, checked through its closed form.
 
     Every entry must equal the sum of its axis projections less
-    (order - 1) times the root, which need not be 0.  Non-integer
-    entries raise InputError, as in ``verify_reversible``.
+    (order - 1) times the root, which need not be 0.  The entries pass
+    ``_gate`` before the check and with its report, as in ``verify_reversible``.
     """
-    if not M._ints:
-        _require_int_entries(M)
-    return _vertex_report(M, _vertex_mismatch(M))
+    _gate(M)
+    return _gate(M, _vertex_report(M, _vertex_mismatch(M)))
 
 
 def _vertex_report(M: Cuboid, p: int | None) -> VerificationReport:
@@ -294,19 +295,20 @@ def _dirty_spans(M: Cuboid) -> Iterator[tuple[int, int]]:
             yield p, start + width
 
 
-#: Cuboids try the axis walk first only when prod(dims) is at least this
-#: many times sum(dims): an off-axis monotonicity reject at dims (4, 25)
-#: takes 19 us by the scan, 65-75 us walk first (2-vCPU Xeon, Python 3.11.7).
+#: Cuboids try the axis walk first only when prod(dims) is at least this many
+#: times sum(dims): the rejects workload's (4, 25) monotonicity reject takes
+#: 10.7 us by the scan, 37.1 us walk first.  Without the rule the sweep's
+#: verify_reversible fell from 28.8-32.1 to 11.2-11.7 us, but the median rejects
+#: op rose 34.1 -> 42.6 us (seed 7; 2-vCPU Xeon, Python 3.11.7, in process).
 _CERTIFICATE_RATIO = 64
 
 
 def verify_reversible(M: Cuboid) -> VerificationReport:
     """All defining checks of a principal reversible cuboid.
 
-    Every entry must be an ``int``.  A float, string or other non-integer
-    raises InputError before any check; a ``bool`` or other ``int``
-    subclass raises it instead of a pass, and a failing cuboid reads it
-    as its value.  Checked in order: strict monotonicity along every
+    Every entry must be an ``int`` (``_gate``): a non-integer raises
+    InputError before any check, and a ``bool`` or other ``int`` subclass
+    instead of a pass.  Checked in order: strict monotonicity along every
     line of every direction, the vertex cross sum property, then entry
     set equal to 0 .. size - 1.  Line reversal symmetry is not scanned:
     once these three hold, the axes form a sum system, whose parts are
@@ -326,16 +328,14 @@ def verify_reversible(M: Cuboid) -> VerificationReport:
     sets of pairs, (i - s_j, i) and (i, i + s_j), not those between them.  A
     tabulated cuboid has no spans: its parts, from 0, are its axes.  Other
     inputs get the ordered scan: the same reader on one span of all entries.
-    ``Cuboid._of_ints`` marks skip both type passes.
     """
-    if not M._ints:
-        _require_int_entries(M)
+    _gate(M)
     large = prod(M.dims) >= _CERTIFICATE_RATIO * sum(M.dims)
     if M.entries[0] == 0 and large and _walk_stop(_axes(M), M.dims) is None:
         spans = iter(()) if M._tabulated else _dirty_spans(M)
         first = next(spans, None)
         if first is None:
-            return VerificationReport.ok() if M._ints else _pass_if_exact_ints(M)
+            return _gate(M, VerificationReport.ok())
         return _monotonicity(M, chain((first,), spans)) or _vertex_report(M, first[0])
     return _scan_reversible(M)
 
@@ -348,39 +348,33 @@ def _scan_reversible(M: Cuboid) -> VerificationReport:
     x = _entry_set_witness(M.entries, 0, M.size - 1)
     if x is not None:
         return VerificationReport.fail("entry-set", witness=x)
-    return VerificationReport.ok() if M._ints else _pass_if_exact_ints(M)
+    return _gate(M, VerificationReport.ok())
 
 
-def _require_int_entries(M: Cuboid) -> None:
-    """Raise ``_non_int_entry`` unless the entries sum to an ``int``.
+def _gate(M: Cuboid, report: VerificationReport | None = None) -> VerificationReport | None:
+    """``report``, unless InputError names an entry of M that is not an ``int``.
 
-    Summing costs less than half of reading every type, and any
-    non-integer that is not an int subclass makes the sum fail or stop
-    being an int; the exact type check waits for a pass.
-    """
-    try:
-        integral = type(sum(M.entries)) is int
-    except TypeError:
-        integral = False
-    if not integral:
-        raise _non_int_entry(M)
-
-
-def _pass_if_exact_ints(M: Cuboid) -> VerificationReport:
-    """Pass, unless a ``bool`` or other int subclass stood in for an int."""
-    # A type pass, not ``core._require_ints``: a pass has proved the entry
-    # set 0 .. size - 1, so a min/max range pass would learn nothing.
-    if operator.countOf(map(type, M.entries), int) != M.size:
-        raise _non_int_entry(M)
-    return VerificationReport.ok()
-
-
-def _non_int_entry(M: Cuboid) -> InputError:
-    # Not ``core._require_ints``: the message names the offender's multi-index.
-    flat, x = next((i, x) for i, x in enumerate(M.entries) if type(x) is not int)
-    return InputError(
-        f"entries must be integers, got {_shown(x)} at index {list(multi_index(M.dims, flat))}"
-    )
+    A cuboid ``Cuboid._of_ints`` marks, or a failing report, returns at once,
+    so a failing cuboid reads a ``bool`` as its value.  With no report, before
+    any clause, the entries must sum to an ``int``, at less than half the cost
+    of reading every type: any non-integer but an int subclass breaks the sum.
+    A passing report costs the exact type pass: no int subclass passes."""
+    if M._ints or (report is not None and not report.passed):
+        return report
+    if report is not None:
+        ints = operator.countOf(map(type, M.entries), int) == M.size
+    else:
+        try:
+            ints = type(sum(M.entries)) is int
+        except TypeError:
+            ints = False
+    if not ints:
+        # Not ``core._require_ints``: the message names the offender's multi-index.
+        flat, x = next((i, x) for i, x in enumerate(M.entries) if type(x) is not int)
+        raise InputError(
+            f"entries must be integers, got {_shown(x)} at index {list(multi_index(M.dims, flat))}"
+        )
+    return report
 
 
 def _monotonicity(M: Cuboid, spans: Iterable[tuple[int, int]]) -> VerificationReport | None:

@@ -4,8 +4,8 @@ Everything here is deliberately naive and kept free of library
 internals: plain recursion, itertools expansion, direct property scans
 on integer grids.  The one exception, the reference stage walk, shares
 the library's witness rule.  The golden corpus's inputs come from here
-too, with ``cuboid_outcomes`` and ``square_outcomes``, which record what
-the public cuboid and square calls return on them.
+too, with the functions that record what the public calls return on
+them; ``GOLDEN_SLICES`` pairs the two for each slice.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ import itertools
 import math
 import random
 from bisect import bisect_right
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import ne
+from unittest import mock
 
 from addsys.core import (
     DEFAULT_CAP,
@@ -27,11 +28,21 @@ from addsys.core import (
     VerificationFailedError,
     VerificationReport,
 )
-from addsys.cuboid import decompose_cuboid, verify_property_V, verify_reversible
+from addsys import sds as sds_mod, sumsystem as sumsystem_mod
+from addsys.cuboid import Cuboid, decompose_cuboid, verify_property_V, verify_reversible
 from addsys.factorisation import JointOrderedFactorisation, _copy_witness
-from addsys.sds import INCLUSIVE, NON_INCLUSIVE, SdsSystem, verify_sds
+from addsys.sds import (
+    FLAVOURS,
+    INCLUSIVE,
+    NON_INCLUSIVE,
+    SdsSystem,
+    sds_to_sumsys_inclusive,
+    sds_to_sumsys_noninclusive,
+    verify_sds,
+    verify_sds_two_part,
+)
 from addsys.squares import KINDS, SquareMatrix, verify_square
-from addsys.sumsystem import verify_sum_system
+from addsys.sumsystem import decompose_sum_system, polynomial_check, verify_sum_system
 from conftest import DIMS_E4, E4_PARTS
 
 
@@ -797,23 +808,27 @@ DOCUMENTED_ERRORS = (
 )
 
 
-def cuboid_outcomes(M) -> list:
+def _outcome(call, *args):
+    """``call(*args)`` as the corpus records it: a report's JSON, a JOF's
+    text, a sum system's JSON document, or [exception type, message]."""
+    try:
+        result = call(*args)
+    except DOCUMENTED_ERRORS as exc:
+        return [type(exc).__name__, str(exc)]
+    if isinstance(result, SumSystem):
+        return sumsystem_mod.to_json_doc(result)
+    return result.as_text() if hasattr(result, "as_text") else result.to_json_doc()
+
+
+def cuboid_outcomes(dims, entries) -> list:
     """``verify_reversible``, ``decompose_cuboid``, its unchecked form and
-    ``verify_property_V`` on M: a report's JSON, a JOF's text, or
-    [exception type, message]."""
-
-    def unchecked(M):
-        return decompose_cuboid(M, check=False)
-
-    out = []
-    for call in (verify_reversible, decompose_cuboid, unchecked, verify_property_V):
-        try:
-            result = call(M)
-        except DOCUMENTED_ERRORS as exc:
-            out.append([type(exc).__name__, str(exc)])
-        else:
-            out.append(result.as_text() if hasattr(result, "as_text") else result.to_json_doc())
-    return out
+    ``verify_property_V`` on the cuboid, each an ``_outcome``."""
+    M = Cuboid(dims, tuple(entries))
+    return [
+        _outcome(call, M)
+        for call in (verify_reversible, decompose_cuboid, partial(decompose_cuboid, check=False),
+                     verify_property_V)
+    ]
 
 
 # Squares: the square slice of the golden corpus.
@@ -982,3 +997,213 @@ def square_outcomes(rows) -> list:
     except DOCUMENTED_ERRORS as exc:
         return [[type(exc).__name__, str(exc)]]
     return [verify_square(M, kind).to_json_doc() for kind in KINDS]
+
+
+# Sum systems and sum-and-distance systems: the "sumsystem" and "sds" slices.
+
+#: Mutations of a sum system's parts; each keeps every part a component
+#: set with 0 and at least two elements, or leaves the parts alone.
+GOLDEN_SUM_KINDS = ["bump", "bump", "move", "far", "tie", "swap", "grow", "drop"]
+#: Hand-made parts: silent walks (the ordered scan names the witness), then
+#: the edges of the constructor and of int64.
+GOLDEN_SUM_EDGES = [
+    ((0, 1, 4, 6), (0, 2, 5, 7)),
+    ((0, 1), (0, 24, 96, 294), (0, 2, 4, 6), (0, 8, 16), (0, 48)),
+    ((0, 1, 4, 6), (0, 2, 5, 7), *((0, 2**k) for k in range(4, 11))),
+    ((0, 1),), ((0, 2),), ((0, 1, 2, 3, 4, 5, 6),), ((0, 3), (0, 1, 2)), ((0, 3), (0, 1, 2, 4)),
+    ((0, 2, 1), (0, 1)), ((1, 2), (0, 1)), ((0,), (0, 1)), ((0, True), (0, 2)), ((0, 1.0), (0, 2)),
+    ((0, 2**62), (0, 2**62)), ((0, 2**63 - 1),), ((0, 1), (0, 2**63)), (),
+]
+
+
+def _free_value(rng, part, top) -> int:
+    """A value in 1 .. top that ``part`` does not hold."""
+    while True:
+        x = rng.randint(1, top)
+        if x not in part:
+            return x
+
+
+def _golden_sum_mutation(rng, kind, parts) -> None:
+    """Apply one corpus mutation to ``parts`` (lists) in place."""
+    part = parts[rng.randrange(len(parts))]
+    k = rng.randrange(1, len(part))
+    if kind == "bump":  # +-1, +-2 or up to +-50 from where it was
+        x = part[k] + rng.choice([-2, -1, 1, 2, rng.randint(-50, 50)])
+        if x > 0 and x not in part:
+            part[k] = x
+    elif kind == "move":
+        part[k] = _free_value(rng, part, 2 * part[-1] + 2)
+    elif kind == "far":  # mostly above the part's maximum, often past the walk's search
+        part[k] = _free_value(rng, part, 4 * part[-1] + 100)
+    elif kind == "tie":  # an element of another part
+        other = rng.choice(parts)
+        x = rng.choice(other[1:])
+        if x not in part:
+            part[k] = x
+    elif kind == "swap":  # exchange non-zero elements of two parts
+        i = rng.randrange(len(parts))
+        l = rng.randrange(1, len(parts[i]))
+        if parts[i][l] not in part and part[k] not in parts[i]:
+            part[k], parts[i][l] = parts[i][l], part[k]
+            parts[i].sort()
+    elif kind == "grow":
+        part.append(_free_value(rng, part, 2 * part[-1] + 2))
+    elif len(part) > 2:  # "drop"
+        del part[k]
+    part.sort()
+
+
+def golden_sum_systems(seed: int = GOLDEN_SEED):
+    """The sum-system slice of the golden corpus: (label, parts) pairs.
+
+    800 systems from a fixed seed, half of dims product at most 200 and
+    half above the certificate ratio, each valid or with one to three
+    mutations, so that the stage walk completes, stops with a witness or
+    stops without one; then ``GOLDEN_SUM_EDGES``, and E4 valid and with
+    part 5's seventh element raised by 1, a walk witness at E4's size.
+    """
+    rng = random.Random(seed)
+    small = [dims for _, dims in dims_vectors_up_to(200) if len(dims) <= 4]
+    for k in range(800):
+        dims = rng.choice(small) if k < 400 else rng.choice(GOLDEN_RATIO_DIMS)
+        parts = jof_parts(random_steps(rng, dims), dims)
+        kinds = [] if rng.random() < 0.15 else rng.choices(GOLDEN_SUM_KINDS, k=rng.randint(1, 3))
+        for kind in kinds:
+            _golden_sum_mutation(rng, kind, parts)
+        yield f"{k} {','.join(kinds) or 'valid'}", parts
+    for k, parts in enumerate(GOLDEN_SUM_EDGES):
+        yield f"edge {k} {parts!r}"[:80], [list(p) for p in parts]
+    yield "e4 valid", [list(p) for p in E4_PARTS]
+    parts = [list(p) for p in E4_PARTS]
+    parts[4][6] += 1
+    yield "e4 part 5 bump", parts
+
+
+def sum_system_outcomes(parts) -> list:
+    """``verify_sum_system`` on the parts and the route that answered
+    ("walk", or "scan" where the ordered scan ran), ``decompose_sum_system``
+    checked and unchecked, and ``polynomial_check``, each an ``_outcome``;
+    or the constructor's error alone."""
+    try:
+        ss = SumSystem(tuple(map(tuple, parts)))
+    except DOCUMENTED_ERRORS as exc:
+        return [[type(exc).__name__, str(exc)]]
+    scan = sumsystem_mod._scan_sum_system
+    with mock.patch.object(sumsystem_mod, "_scan_sum_system", wraps=scan) as spy:
+        report = _outcome(verify_sum_system, ss)
+    return [
+        report, "scan" if spy.called else "walk", _outcome(decompose_sum_system, ss),
+        _outcome(partial(decompose_sum_system, check=False), ss), _outcome(polynomial_check, ss),
+    ]
+
+
+#: Mutations of a sum-and-distance system's parts.  With h = 2 for
+#: non-inclusive systems and 1 for inclusive ones, "inner" moves an element
+#: below its part's maximum by h or 2h and "swap" exchanges two such
+#: elements of two parts: the maxima, so the lift, stay and the bijection
+#: answers.  "parity" moves one by 1, which the non-inclusive map refuses;
+#: "top" raises a maximum by h and "flavour" claims the other flavour, so
+#: the lift no longer fits the target.
+GOLDEN_SDS_KINDS = ["inner", "inner", "swap", "parity", "top", "flavour"]
+#: Hand-made systems: single parts, then the constructor's edges.
+GOLDEN_SDS_EDGES = [
+    ("non-inclusive", ((1,),)), ("inclusive", ((1,),)), ("non-inclusive", ((2,),)),
+    ("inclusive", ((1, 2),)), ("non-inclusive", ((1, 3), (4,))), ("inclusive", ((1,), (3,))),
+    ("both", ((1,),)), ("inclusive", ((0, 1),)), ("inclusive", ((2, 1),)), ("inclusive", ()),
+    ("non-inclusive", ((True,),)), ("inclusive", ((1.0,),)),
+    ("non-inclusive", ((2**62 + 1,), (2**62 + 3,))),
+]
+
+
+def _golden_sds_mutation(rng, kind, flavour, parts) -> str:
+    """Apply one corpus mutation to ``parts`` (lists) in place; the flavour after it."""
+    h = 1 if flavour == INCLUSIVE else 2
+    if kind == "flavour":
+        return FLAVOURS[flavour == NON_INCLUSIVE]
+    if kind == "top":
+        rng.choice(parts)[-1] += h
+        return flavour
+    many = [part for part in parts if len(part) > 1]
+    if not many:
+        return flavour
+    part = rng.choice(many)
+    k = rng.randrange(len(part) - 1)
+    if kind == "swap":
+        i = rng.randrange(len(parts))
+        if len(parts[i]) > 1:
+            l = rng.randrange(len(parts[i]) - 1)
+            if parts[i][l] not in part and part[k] not in parts[i]:
+                part[k], parts[i][l] = parts[i][l], part[k]
+                parts[i].sort()
+    else:  # "inner" or "parity"
+        x = part[k] + rng.choice([-1, 1]) * (1 if kind == "parity" else rng.choice([h, 2 * h]))
+        if 0 < x < part[-1] and x not in part:
+            part[k] = x
+    part.sort()
+    return flavour
+
+
+def golden_sds(seed: int = GOLDEN_SEED):
+    """The SDS slice of the golden corpus: (label, flavour, parts) triples.
+
+    800 sum-and-distance systems from a fixed seed, the images of random
+    sum systems of dims product at most 400 (all sizes even for
+    non-inclusive, odd for inclusive) through the reference maps, each
+    valid or with one or two mutations; then ``GOLDEN_SDS_EDGES``, and E4's
+    non-inclusive system valid and with an inner element of part 5 raised
+    by 2, which the bijection names at E4's size.
+    """
+    rng = random.Random(seed)
+    shapes = [dims for _, dims in dims_vectors_up_to(400) if len(dims) <= 4]
+    by_flavour = {
+        NON_INCLUSIVE: [dims for dims in shapes if all(n % 2 == 0 for n in dims)],
+        INCLUSIVE: [dims for dims in shapes if all(n % 2 for n in dims)],
+    }
+    to_sds = {
+        NON_INCLUSIVE: reference_sumsys_to_sds_noninclusive,
+        INCLUSIVE: reference_sumsys_to_sds_inclusive,
+    }
+    for k in range(800):
+        flavour = rng.choice(FLAVOURS)
+        dims = rng.choice(by_flavour[flavour])
+        ss = SumSystem(tuple(map(tuple, jof_parts(random_steps(rng, dims), dims))))
+        parts = [list(p) for p in to_sds[flavour](ss, check=False).parts]
+        kinds = [] if rng.random() < 0.15 else rng.choices(GOLDEN_SDS_KINDS, k=rng.randint(1, 2))
+        for kind in kinds:
+            flavour = _golden_sds_mutation(rng, kind, flavour, parts)
+        yield f"{k} {','.join(kinds) or 'valid'}", flavour, parts
+    for k, (flavour, parts) in enumerate(GOLDEN_SDS_EDGES):
+        yield f"edge {k} {flavour} {parts!r}"[:80], flavour, [list(p) for p in parts]
+    parts = [list(p) for p in reference_sumsys_to_sds_noninclusive(SumSystem(E4_PARTS)).parts]
+    yield "e4 valid", NON_INCLUSIVE, [p[:] for p in parts]
+    parts[4][2] += 2
+    yield "e4 part 5 inner", NON_INCLUSIVE, parts
+
+
+def sds_outcomes(flavour, parts) -> list:
+    """``verify_sds`` on the system and the route that answered
+    ("bijection", or "scan" where the ordered scan ran), ``verify_sds_two_part``,
+    and the flavour's map to a sum system unchecked and checked, each an
+    ``_outcome``; or the constructor's error alone."""
+    try:
+        s = SdsSystem(tuple(map(tuple, parts)), flavour)
+    except DOCUMENTED_ERRORS as exc:
+        return [[type(exc).__name__, str(exc)]]
+    with mock.patch.object(sds_mod, "_scan_sds", wraps=sds_mod._scan_sds) as spy:
+        report = _outcome(verify_sds, s)
+    to_sumsys = sds_to_sumsys_inclusive if flavour == INCLUSIVE else sds_to_sumsys_noninclusive
+    return [
+        report, "scan" if spy.called else "bijection", _outcome(verify_sds_two_part, s),
+        _outcome(partial(to_sumsys, check=False), s), _outcome(to_sumsys, s),
+    ]
+
+
+#: The slices of the golden corpus: name -> (inputs, outcomes, least case
+#: count).  Each input is a label, then the arguments of its outcomes.
+GOLDEN_SLICES = {
+    "cuboid": (golden_cuboids, cuboid_outcomes, 2000),
+    "square": (golden_squares, square_outcomes, 1500),
+    "sumsystem": (golden_sum_systems, sum_system_outcomes, 800),
+    "sds": (golden_sds, sds_outcomes, 800),
+}

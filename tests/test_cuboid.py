@@ -315,6 +315,11 @@ class TestPropertyV:
     def test_vertex_sums_match_the_per_entry_oracle(self, M):
         p = vertex_reference(M.dims, M.entries)
         assert _vertex_mismatch(M) == p
+        if p is None and any(type(x) is not int for x in M.entries):
+            # A pass never reads a ``bool`` as its value (README input policy).
+            with pytest.raises(InputError, match="entries must be integers"):
+                verify_property_V(M)
+            return
         expected = (
             VerificationReport.ok()
             if p is None
@@ -629,11 +634,18 @@ class TestIntEntryMarker:
 
     @pytest.fixture
     def no_type_pass(self, monkeypatch):
-        def refuse(M):
-            raise AssertionError("entry type pass")
+        """``_gate`` sees each cuboid with entries that fail when read."""
+        gate = cuboid_mod._gate
 
-        monkeypatch.setattr(cuboid_mod, "_require_int_entries", refuse)
-        monkeypatch.setattr(cuboid_mod, "_pass_if_exact_ints", refuse)
+        class Unread:
+            def __init__(self, M):
+                self._ints, self.dims = M._ints, M.dims
+
+            @property
+            def entries(self):
+                raise AssertionError("entry type pass")
+
+        monkeypatch.setattr(cuboid_mod, "_gate", lambda M, report=None: gate(Unread(M), report))
 
     @pytest.mark.parametrize(
         "steps, dims",

@@ -1,10 +1,12 @@
 """The library's outcomes on the golden corpus equal the ones on file.
 
 ``tests/golden_corpus.json.gz`` was written by
-``scripts/write_golden_corpus.py`` from the fixed-seed inputs of
-``support.golden_cuboids`` and ``support.golden_squares``: the report,
-JOF or exception of every cuboid verifier and decomposer, certificate
-route and ordered scan alike, and of ``verify_square`` under every kind.
+``scripts/write_golden_corpus.py`` from the fixed-seed inputs of the
+slices in ``support.GOLDEN_SLICES``: the report, JOF or exception of every
+cuboid verifier and decomposer, certificate route and ordered scan alike;
+of ``verify_square`` under every kind; of the sum-system verifier,
+decomposer and polynomial check, with the route that answered; and of the
+SDS verifiers and maps, with the route that answered.
 """
 
 import gzip
@@ -13,8 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from addsys.cuboid import Cuboid
-from support import GOLDEN_SEED, cuboid_outcomes, golden_cuboids, golden_squares, square_outcomes
+from support import GOLDEN_SEED, GOLDEN_SLICES
 
 GOLDEN = Path(__file__).with_name("golden_corpus.json.gz")
 
@@ -26,30 +27,17 @@ def corpus():
     return corpus
 
 
-def changed(inputs, outcomes, cases) -> list[str]:
-    """Labels of the cases whose outcomes differ from the ones on file."""
+@pytest.mark.parametrize("name", GOLDEN_SLICES)
+def test_outcomes_match_the_corpus(corpus, name):
+    inputs, outcomes, least = GOLDEN_SLICES[name]
+    cases = corpus[name]
     labels = []
-    for (label, *args), case in zip(inputs, cases, strict=True):
+    for (label, *args), case in zip(inputs(), cases, strict=True):
         assert label == case[0]
         if [label, *outcomes(*args)] != case:
             labels.append(label)
-    return labels
-
-
-def test_cuboid_outcomes_match_the_corpus(corpus):
-    cases = corpus["cuboid"]
-    labels = changed(
-        golden_cuboids(), lambda dims, entries: cuboid_outcomes(Cuboid(dims, tuple(entries))), cases
-    )
     assert not labels, f"{len(labels)} of {len(cases)} outcomes changed, first {labels[:10]}"
-    assert len(cases) > 2000
-
-
-def test_square_outcomes_match_the_corpus(corpus):
-    cases = corpus["square"]
-    labels = changed(golden_squares(), square_outcomes, cases)
-    assert not labels, f"{len(labels)} of {len(cases)} outcomes changed, first {labels[:10]}"
-    assert len(cases) > 1500
+    assert len(cases) > least
 
 
 def test_square_slice_pins_late_packed_fields(corpus):

@@ -248,6 +248,31 @@ HOSTILE = {
     "minkowski_sum empty set": (
         lambda: minkowski_sum([[]]), InputError, "^minkowski_sum requires nonempty sets$",
     ),
+    "kron_dir float entry": (
+        lambda: kron_dir((2,), 1, Cuboid((1,), (0.5,))), InputError,
+        r"^entries must be integers, got 0\.5 at index \[1\]$",
+    ),
+    "building_op float entry": (
+        lambda: building_op(1, 2, Cuboid((1,), (0.5,))), InputError,
+        r"^entries must be integers, got 0\.5 at index \[1\]$",
+    ),
+    "kron_dir string entry": (
+        lambda: kron_dir((2,), 1, Cuboid((1,), ("a",))), InputError,
+        r"^entries must be integers, got 'a' at index \[1\]$",
+    ),
+    "building_op string entry": (
+        lambda: building_op(1, 2, Cuboid((1,), ("a",))), InputError,
+        r"^entries must be integers, got 'a' at index \[1\]$",
+    ),
+    "verify_property_V bool pass": (
+        lambda: verify_property_V(Cuboid((2,), (False, True))), InputError,
+        r"^entries must be integers, got False at index \[1\]$",
+    ),
+    "cuboid json entries not a list": (
+        lambda: from_json_doc({"dims": [1], "entries": 0}), InputError,
+        "^'entries' must be a flat list of integers$",
+    ),
+    "jof length": (lambda: len(JointOrderedFactorisation(((1, 2), (2, 3)), (2, 3))), None, 2),
 }
 
 
