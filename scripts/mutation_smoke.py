@@ -141,6 +141,20 @@ MUTANTS = [
         "ints = True",
         ("tests/test_cuboid.py", "tests/test_golden.py"),
     ),
+    (
+        "tabulated-trusted-at-every-size",
+        "cuboid.py",
+        "or prod(M.dims) < _CERTIFICATE_RATIO * sum(M.dims):",
+        ":",
+        ("tests/test_cuboid.py",),
+    ),
+    (
+        "tabulated-widened-to-ints",
+        "cuboid.py",
+        "iter(()) if M._tabulated else",
+        "iter(()) if M._ints else",
+        ("tests/test_cuboid.py",),
+    ),
 ]
 
 

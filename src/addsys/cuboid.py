@@ -127,7 +127,7 @@ def kron_dir(v: Sequence[int], j: int, M: Cuboid) -> Cuboid:
     """Direction-j Kronecker product: stack len(v) copies of M scaled by v.
 
     Copy l (0-based) occupies index range l*n_j + 1 .. (l+1)*n_j in
-    direction j and holds v[l] times the entries of M, which pass ``_gate``.
+    direction j and holds v[l] times the entries of M, exact ``int``s.
     """
     if not (_are_ints((j,)) and 1 <= j <= M.order):
         raise InputError(f"direction {j} outside 1..{M.order}")
@@ -135,7 +135,7 @@ def kron_dir(v: Sequence[int], j: int, M: Cuboid) -> Cuboid:
     if not weights:
         raise InputError("weight vector is empty")
     _require_ints(weights, "weights must be non-negative integers", lo=0)
-    _gate(M)
+    _gate(M, VerificationReport.ok())
     ensure_int64(max(weights) * max(M.entries), "scaled entry")
     ensure_int64(max(weights) * min(M.entries), "scaled entry")
     return _stacked(M, j, [partial(operator.mul, w) for w in weights])
@@ -143,11 +143,11 @@ def kron_dir(v: Sequence[int], j: int, M: Cuboid) -> Cuboid:
 
 def building_op(j: int, k: int, M: Cuboid) -> Cuboid:
     """Stack k copies of M along direction j, copy l offset by l * size;
-    M's entries pass ``_gate``."""
+    M's entries are exact ``int``s, as in ``kron_dir``."""
     if not (_are_ints((j,)) and 1 <= j <= M.order):
         raise InputError(f"direction {j} outside 1..{M.order}")
     _require_ints((k,), "copy count must be a positive integer", lo=1)
-    _gate(M)
+    _gate(M, VerificationReport.ok())
     total = M.size
     ensure_int64((k - 1) * total + max(M.entries), "offset entry")
     return _stacked(M, j, [partial(operator.add, l * total) for l in range(k)])
@@ -303,6 +303,16 @@ def _dirty_spans(M: Cuboid) -> Iterator[tuple[int, int]]:
 _CERTIFICATE_RATIO = 64
 
 
+def _certificate_spans(M: Cuboid) -> Iterator[tuple[int, int]] | None:
+    """Where M may differ from V, once the stage walk has completed on its
+    axes: nowhere for a tabulated cuboid, else ``_dirty_spans``.  None off the
+    certificate route: a root other than 0, or prod(dims) below
+    ``_CERTIFICATE_RATIO`` times sum(dims).  Nothing else reads ``_tabulated``."""
+    if M.entries[0] != 0 or prod(M.dims) < _CERTIFICATE_RATIO * sum(M.dims):
+        return None
+    return iter(()) if M._tabulated else _dirty_spans(M)
+
+
 def verify_reversible(M: Cuboid) -> VerificationReport:
     """All defining checks of a principal reversible cuboid.
 
@@ -326,13 +336,12 @@ def verify_reversible(M: Cuboid) -> VerificationReport:
     increases.  The first direction with pairs (step 1) pulls spans only as
     it reads them; a span narrower than a later step s_j is read as its two
     sets of pairs, (i - s_j, i) and (i, i + s_j), not those between them.  A
-    tabulated cuboid has no spans: its parts, from 0, are its axes.  Other
-    inputs get the ordered scan: the same reader on one span of all entries.
+    tabulated cuboid has no spans (``_certificate_spans``).  Other inputs
+    get the ordered scan: the same reader on one span of all entries.
     """
     _gate(M)
-    large = prod(M.dims) >= _CERTIFICATE_RATIO * sum(M.dims)
-    if M.entries[0] == 0 and large and _walk_stop(_axes(M), M.dims) is None:
-        spans = iter(()) if M._tabulated else _dirty_spans(M)
+    spans = _certificate_spans(M)
+    if spans is not None and _walk_stop(_axes(M), M.dims) is None:
         first = next(spans, None)
         if first is None:
             return _gate(M, VerificationReport.ok())
@@ -358,7 +367,8 @@ def _gate(M: Cuboid, report: VerificationReport | None = None) -> VerificationRe
     so a failing cuboid reads a ``bool`` as its value.  With no report, before
     any clause, the entries must sum to an ``int``, at less than half the cost
     of reading every type: any non-integer but an int subclass breaks the sum.
-    A passing report costs the exact type pass: no int subclass passes."""
+    A passing report (the building operators give one) costs the exact type
+    pass: no int subclass passes."""
     if M._ints or (report is not None and not report.passed):
         return report
     if report is not None:
@@ -434,15 +444,17 @@ def decompose_cuboid(M: Cuboid, check: bool = True) -> JointOrderedFactorisation
     a sum system, so the chain is the stage walk of
     ``decompose_sum_system`` run on the axes.  ``check=True`` verifies
     the cuboid first.  ``check=False`` trusts the walk's copy check for
-    the axes and compares the rest of the tensor with their outer sums;
-    both hold only relative to the root, so the root must be 0.
+    the axes and compares the rest of the tensor with their outer sums V;
+    both hold only relative to the root, so the root must be 0.  A
+    tabulated cuboid on the certificate route (``_certificate_spans``) is V
+    by construction and is not compared.
     """
     if check:
         _require_passed(verify_reversible(M), "decompose input")
     elif M.entries[0] != 0:
         raise InternalContradictionError(f"root entry is {_shown(M.entries[0])}, not 0")
     jof = _walk_stages(_axes(M), M.dims)
-    p = None if check else _vertex_mismatch(M)
+    p = None if check else next(_certificate_spans(M) or _dirty_spans(M), (None,))[0]
     if p is not None:
         raise InternalContradictionError(
             f"entry at index {list(multi_index(M.dims, p))} is not the outer sum of the axes"

@@ -56,7 +56,9 @@ def validate_jof(steps: Sequence[Step], dims: Sequence[int]) -> VerificationRepo
     """Check the two defining clauses plus step shape, factor and direction ranges.
 
     Violations come back as failed reports, so callers can surface them
-    verbatim; steps or dims that are not iterable raise InputError.
+    verbatim; steps or dims that are not iterable raise InputError.  A
+    ``dims-range`` witness is [k, x]: the first dim x, k-th from 1, that is
+    not an int in 1 .. INT64_MAX ([] for empty dims).
     """
     steps, dims = _frozen(steps, "steps"), _frozen(dims, "dims")
     pairs = []  # the steps up to the first that is not two values
@@ -68,7 +70,8 @@ def validate_jof(steps: Sequence[Step], dims: Sequence[int]) -> VerificationRepo
     # One gate pass over every value; only a failure is located.
     ints = _are_ints((*dims, *chain.from_iterable(pairs)), lo=1)
     if not dims or not (ints or _are_ints(dims, lo=1)):
-        return VerificationReport.fail("dims-range", witness=list(dims))
+        bad = next(((k, x) for k, x in enumerate(dims, 1) if not _are_ints((x,), lo=1)), ())
+        return VerificationReport.fail("dims-range", witness=list(bad))
     if len(pairs) < len(steps):
         return VerificationReport.fail("step-shape", witness=len(pairs) + 1)
     m = len(dims)

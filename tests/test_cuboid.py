@@ -4,6 +4,7 @@ import math
 import random
 import re
 import time
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -379,11 +380,13 @@ class TestPropertyV:
         p = next(filter(interior_and_still_increasing, range(M.size // 2, M.size)))
         entries = list(M.entries)
         entries[p] += 1
-        bumped = Cuboid(M.dims, tuple(entries))
         index = list(multi_index(M.dims, p))
-        assert verify_reversible(bumped) == VerificationReport.fail("vertex-sums", witness=index)
-        with pytest.raises(InternalContradictionError, match=re.escape(f"entry at index {index} ")):
-            decompose_cuboid(bumped, check=False)
+        read = from_json_doc({"dims": list(M.dims), "entries": entries})  # marked ints only
+        message = re.escape(f"entry at index {index} ")
+        for bumped in (Cuboid(M.dims, tuple(entries)), read):
+            assert verify_reversible(bumped) == VerificationReport.fail("vertex-sums", witness=index)
+            with pytest.raises(InternalContradictionError, match=message):
+                decompose_cuboid(bumped, check=False)
 
     def test_built_output_passes(self):
         assert verify_property_V(build_cuboid(jof(JOF_E2, DIMS_E2))).passed
@@ -696,12 +699,14 @@ def ratio_sum_systems(draw):
 
 def outcomes(M: Cuboid) -> list:
     """``verify_reversible``, ``axis_sets`` and ``decompose_cuboid``, both
-    checked: a report, the parts, the steps, or [exception type, message]."""
+    checked, and ``decompose_cuboid(check=False)``: a report, the parts, the
+    steps, or [exception type, message]."""
     out = []
     for call, read in (
         (verify_reversible, lambda r: r),
         (axis_sets, lambda ss: ss.parts),
         (decompose_cuboid, lambda jof_: jof_.steps),
+        (partial(decompose_cuboid, check=False), lambda jof_: jof_.steps),
     ):
         try:
             out.append(read(call(M)))
@@ -713,10 +718,19 @@ def outcomes(M: Cuboid) -> list:
 class TestTabulatedMarker:
     """A cuboid tabulated from a ``SumSystem`` is its own vertex certificate.
 
-    ``cuboid_from_sumsystem`` marks it, so ``verify_reversible``'s
-    certificate route passes it without reading blocks; every outcome must
-    equal that of an unmarked copy and of the naive scan.
+    ``cuboid_from_sumsystem`` marks it, so on the certificate route
+    ``verify_reversible`` passes it and ``decompose_cuboid(check=False)``
+    decomposes it without reading blocks; every outcome must equal that of
+    an unmarked copy and of the naive scan.  Below the route's ratio the
+    mark is not read.
     """
+
+    @pytest.fixture
+    def refuse_blocks(self, monkeypatch):
+        def refuse(M):
+            raise AssertionError("blocks read")
+
+        monkeypatch.setattr(cuboid_mod, "_dirty_spans", refuse)
 
     @given(ratio_sum_systems())
     @settings(max_examples=60, deadline=None)
@@ -731,20 +745,25 @@ class TestTabulatedMarker:
         assert got[0].passed == verify_sum_system(ss).passed
         assert got[0].passed == (_walk_stop(ss.parts, ss.dims) is None)
 
-    def test_marked_cuboids_read_no_block(self, monkeypatch):
-        def refuse(M):
-            raise AssertionError("blocks read")
-
+    def test_marked_cuboids_read_no_block(self, refuse_blocks):
         M = build_cuboid(jof(JOF_E4, DIMS_E4))
-        plain = Cuboid(M.dims, M.entries)
-        monkeypatch.setattr(cuboid_mod, "_dirty_spans", refuse)
+        copies = (Cuboid(M.dims, M.entries), from_json_doc(to_json_doc(M)))
         assert verify_reversible(M).passed
+        assert decompose_cuboid(M, check=False).steps == JOF_E4
         assert verify_reversible(cuboid_from_sumsystem(SumSystem(E4_PARTS))).passed
         assert axis_sets(M).parts == E4_PARTS
-        with pytest.raises(AssertionError, match="blocks read"):
-            verify_reversible(plain)
-        with pytest.raises(AssertionError, match="blocks read"):
-            verify_reversible(from_json_doc(to_json_doc(M)))
+        for copy in copies:
+            for call in (verify_reversible, partial(decompose_cuboid, check=False)):
+                with pytest.raises(AssertionError, match="blocks read"):
+                    call(copy)
+
+    def test_sweep_size_built_cuboids_are_read(self, refuse_blocks):
+        # criterion 5's battery compares every small built cuboid with V
+        M = build_cuboid(jof(((1, 2), (2, 3), (1, 2)), (4, 3)))
+        assert M._tabulated and M.size < cuboid_mod._CERTIFICATE_RATIO * sum(M.dims)
+        for call in (verify_reversible, partial(decompose_cuboid, check=False)):
+            with pytest.raises(AssertionError, match="blocks read"):
+                call(M)
 
     def test_never_carried_by_other_routes(self):
         ss = build_sum_system(jof(JOF_E2, DIMS_E2))
