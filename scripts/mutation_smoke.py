@@ -155,6 +155,41 @@ MUTANTS = [
         "iter(()) if M._ints else",
         ("tests/test_cuboid.py",),
     ),
+    (
+        "square-lo-unchecked",
+        "squares.py",
+        "return axes[0][0] + axes[1][0] - d[0][0] == 1 and ",
+        "return ",
+        ("tests/test_golden.py", "tests/test_squares.py"),
+    ),
+    (
+        "sds-lift-unchecked",
+        "sds.py",
+        "    if 2 * lift != (prod(2 * n + inclusive for n in s.sizes) - 1) * h:\n",
+        "    if False:\n",
+        ("tests/test_golden.py", "tests/test_sds.py"),
+    ),
+    (
+        "polynomial-cut-dropped",
+        "sumsystem.py",
+        "for x in part[: bisect_left(part, d)])",
+        "for x in part)",
+        ("tests/test_golden.py", "tests/test_sumsystem.py"),
+    ),
+    (
+        "unreversed-above-only",
+        "squares.py",
+        "if s != line[0] + line[-1]), None)",
+        "if s > line[0] + line[-1]), None)",
+        ("tests/test_golden.py", "tests/test_squares.py"),
+    ),
+    (
+        "copy-witness-unbudgeted",
+        "factorisation.py",
+        "range(expected + 1, min(top, expected + 1 + budget))",
+        "range(expected + 1, top)",
+        ("tests/test_golden.py", "tests/test_sumsystem.py", "tests/test_certificate.py"),
+    ),
 ]
 
 

@@ -3,7 +3,7 @@
 the fixed-seed inputs of ``tests/support.py``.
 
 The corpus holds one key per row of ``support.GOLDEN_SLICES``: the
-``"cuboid"``, ``"square"``, ``"sumsystem"`` and ``"sds"`` slices, each
+``"cuboid"``, ``"square"``, ``"sumsystem"``, ``"sds"`` and ``"jof"`` slices, each
 the outcomes that the row's outcome function records for each input of
 its generator.  The file is gzip-compressed JSON, one case per line, so
 that a few thousand cases fit in a few hundred KB; ``zcat`` shows it.

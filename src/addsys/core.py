@@ -153,7 +153,8 @@ def first_segment(count: int) -> Progression:
 
 
 def progression_set(p: Progression) -> tuple[int, ...]:
-    """Expand a progression into its sorted element tuple."""
+    """Expand a progression into its sorted element tuple, at most ``DEFAULT_CAP`` long."""
+    _require_cap(p.count, "progression elements", DEFAULT_CAP)
     return tuple(range(p.start, p.start + p.step * p.count, p.step))
 
 

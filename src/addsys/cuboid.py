@@ -85,24 +85,8 @@ class Cuboid:
         return len(self.entries)
 
 
-def strides(dims: Sequence[int]) -> tuple[int, ...]:
-    _require_ints(dims, "dims must be positive integers", lo=1)
-    return _strides(dims)
-
-
 def _strides(dims: Sequence[int]) -> tuple[int, ...]:
     return tuple(accumulate(dims[:-1], operator.mul, initial=1)) if dims else ()
-
-
-def flat_index(dims: Sequence[int], index: Sequence[int]) -> int:
-    """Flat position of a 1-based multiindex."""
-    _require_ints((*dims, *index), "dims and index must hold integers")
-    if len(index) != len(dims):
-        raise InputError(f"index {list(index)} has wrong length for dims {list(dims)}")
-    for k, n in zip(index, dims):
-        if not (1 <= k <= n):
-            raise InputError(f"index component {k} outside 1..{n}")
-    return sum((k - 1) * s for k, s in zip(index, _strides(dims)))
 
 
 def multi_index(dims: Sequence[int], flat: int) -> tuple[int, ...]:
@@ -118,8 +102,9 @@ def multi_index(dims: Sequence[int], flat: int) -> tuple[int, ...]:
 
 
 def trivial_cuboid(order: int) -> Cuboid:
-    """The one-entry cuboid (0) every building chain starts from."""
+    """The one-entry cuboid (0) every building chain starts from, of order <= ``DEFAULT_CAP``."""
     _require_ints((order,), "order must be a positive integer", lo=1)
+    _require_cap(order, "cuboid directions", DEFAULT_CAP)
     return Cuboid((1,) * order, (0,))
 
 
@@ -127,7 +112,8 @@ def kron_dir(v: Sequence[int], j: int, M: Cuboid) -> Cuboid:
     """Direction-j Kronecker product: stack len(v) copies of M scaled by v.
 
     Copy l (0-based) occupies index range l*n_j + 1 .. (l+1)*n_j in
-    direction j and holds v[l] times the entries of M, exact ``int``s.
+    direction j and holds v[l] times the entries of M, exact ``int``s;
+    at most ``DEFAULT_CAP`` entries in all.
     """
     if not (_are_ints((j,)) and 1 <= j <= M.order):
         raise InputError(f"direction {j} outside 1..{M.order}")
@@ -136,19 +122,21 @@ def kron_dir(v: Sequence[int], j: int, M: Cuboid) -> Cuboid:
         raise InputError("weight vector is empty")
     _require_ints(weights, "weights must be non-negative integers", lo=0)
     _gate(M, VerificationReport.ok())
+    _require_cap(len(weights) * M.size, "cuboid entries", DEFAULT_CAP)
     ensure_int64(max(weights) * max(M.entries), "scaled entry")
     ensure_int64(max(weights) * min(M.entries), "scaled entry")
     return _stacked(M, j, [partial(operator.mul, w) for w in weights])
 
 
 def building_op(j: int, k: int, M: Cuboid) -> Cuboid:
-    """Stack k copies of M along direction j, copy l offset by l * size;
-    M's entries are exact ``int``s, as in ``kron_dir``."""
+    """Stack k copies of M along direction j, copy l offset by l * size; M's
+    entries are exact ``int``s, and it makes at most ``DEFAULT_CAP`` entries, as in ``kron_dir``."""
     if not (_are_ints((j,)) and 1 <= j <= M.order):
         raise InputError(f"direction {j} outside 1..{M.order}")
     _require_ints((k,), "copy count must be a positive integer", lo=1)
     _gate(M, VerificationReport.ok())
     total = M.size
+    _require_cap(k * total, "cuboid entries", DEFAULT_CAP)
     ensure_int64((k - 1) * total + max(M.entries), "offset entry")
     return _stacked(M, j, [partial(operator.add, l * total) for l in range(k)])
 

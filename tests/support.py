@@ -3,9 +3,12 @@
 Everything here is deliberately naive and kept free of library
 internals: plain recursion, itertools expansion, direct property scans
 on integer grids.  The one exception, the reference stage walk, shares
-the library's witness rule.  The golden corpus's inputs come from here
-too, with the functions that record what the public calls return on
-them; ``GOLDEN_SLICES`` pairs the two for each slice.
+the library's witness rule.  The naive oracles that the benchmark also
+uses (divisors, ordered factorisations, JOFs, outer sums and the cuboid
+scan) are imported from ``perfbench/oracle.py``, not copied.  The golden
+corpus's inputs come from here too, with the functions that record what
+the public calls return on them; ``GOLDEN_SLICES`` pairs the two for each
+slice.
 """
 
 from __future__ import annotations
@@ -13,9 +16,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from bisect import bisect_right
-from functools import lru_cache, partial
+from functools import partial
 from operator import ne
+from pathlib import Path
 from unittest import mock
 
 from addsys.core import (
@@ -28,9 +33,11 @@ from addsys.core import (
     VerificationFailedError,
     VerificationReport,
 )
-from addsys import sds as sds_mod, sumsystem as sumsystem_mod
+from addsys import cuboid as cuboid_mod, sds as sds_mod, sumsystem as sumsystem_mod
 from addsys.cuboid import Cuboid, decompose_cuboid, verify_property_V, verify_reversible
-from addsys.factorisation import JointOrderedFactorisation, _copy_witness
+from addsys.factorisation import (
+    JointOrderedFactorisation, _copy_witness, format_jof, parse_jof, validate_jof,
+)
 from addsys.sds import (
     FLAVOURS,
     INCLUSIVE,
@@ -45,36 +52,12 @@ from addsys.squares import KINDS, SquareMatrix, verify_square
 from addsys.sumsystem import decompose_sum_system, polynomial_check, verify_sum_system
 from conftest import DIMS_E4, E4_PARTS
 
-
-@lru_cache(maxsize=None)
-def divisors_ge2(n: int) -> tuple[int, ...]:
-    return tuple(d for d in range(2, n + 1) if n % d == 0)
-
-
-def oracle_enumerate(dims) -> list[tuple[tuple[int, int], ...]]:
-    """All joint ordered factorisations by brute-force interleaving.
-
-    Chooses any direction other than the previous one and any divisor
-    of the remaining quotient at every level.  Output order is whatever
-    the recursion produces; callers compare as sets.
-    """
-    dims = tuple(dims)
-    results: list[tuple[tuple[int, int], ...]] = []
-
-    def rec(remaining, last, acc):
-        if all(r == 1 for r in remaining):
-            results.append(tuple(acc))
-            return
-        for direction in range(len(dims)):
-            if direction == last:
-                continue
-            for factor in divisors_ge2(remaining[direction]):
-                nxt = list(remaining)
-                nxt[direction] //= factor
-                rec(nxt, direction, acc + [(direction + 1, factor)])
-
-    rec(list(dims), None, [])
-    return results
+# The benchmark's naive oracles (``perfbench/oracle.py``, which imports no
+# ``addsys``) serve the tests too: one copy of each.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from oracle import (  # noqa: E402, F401
+    cuboid_report, divisors_ge2, naive_jofs, ordered_factorisations, outer_entries,
+)
 
 
 def oracle_count(dims) -> int:
@@ -106,23 +89,10 @@ def oracle_count(dims) -> int:
     return rec(list(dims), -1, m)
 
 
-def ordered_factorizations(n: int) -> list[tuple[int, ...]]:
-    """Every ordered tuple of integers >= 2 whose product is n."""
-    if n < 2:
-        return []
-    out = [(n,)]
-    for first in divisors_ge2(n):
-        if first == n:
-            continue
-        for tail in ordered_factorizations(n // first):
-            out.append((first,) + tail)
-    return out
-
-
 def dims_vectors_up_to(max_product: int):
     """(product, dims) pairs for every dims vector, ascending product."""
     for product in range(2, max_product + 1):
-        for dims in ordered_factorizations(product):
+        for dims in ordered_factorisations(product):
             yield product, dims
 
 
@@ -562,40 +532,47 @@ def walk_reference(axes, dims) -> JointOrderedFactorisation:
     return JointOrderedFactorisation(tuple(steps), tuple(dims))
 
 
-# Cuboids: the ordered scan one multi-index at a time, and the cuboid slice
-# of the golden corpus.
+# Cuboids: row-major indexing, the ordered scan, and the cuboid slice of
+# the golden corpus.
+
+def strides_of(dims) -> list[int]:
+    """Flat distance between neighbours in each direction, direction 1 fastest."""
+    return [math.prod(dims[:j]) for j in range(len(dims))]
+
+
+def flat_position(dims, index) -> int:
+    """Flat position of a 1-based multi-index."""
+    return sum((k - 1) * s for k, s in zip(index, strides_of(dims)))
+
 
 def cuboid_scan_reference(dims, entries) -> VerificationReport:
-    """``verify_reversible``'s report by a naive scan over multi-indices.
+    """``verify_reversible``'s report by ``oracle.cuboid_report``, a naive
+    scan in the documented order (entries read as their values, so
+    ``True`` counts as 1)."""
+    found = cuboid_report(tuple(dims), entries)
+    return VerificationReport.ok() if found is None else VerificationReport.fail(*found)
 
-    In the documented order: monotonicity direction by direction, each
-    pair named by its lower end in row-major order (direction 1
-    fastest); then vertex sums, every entry against the sum of its axis
-    projections less (m - 1) times the root; then the entry set, the
-    first entry outside 0 .. size - 1 or seen before.  Entries are read
-    as their values, so ``True`` counts as 1.
-    """
-    dims = tuple(dims)
-    m, size = len(dims), len(entries)
-    strides = [math.prod(dims[:j]) for j in range(m)]
-    ranges = (range(1, n + 1) for n in reversed(dims))
-    indices = [index[::-1] for index in itertools.product(*ranges)]
-    for j in range(m):
-        for p, index in enumerate(indices):
-            if index[j] < dims[j] and entries[p] >= entries[p + strides[j]]:
-                witness = {"direction": j + 1, "index": list(index)}
-                return VerificationReport.fail("monotonicity", witness=witness)
-    root = entries[0]
-    for p, index in enumerate(indices):
-        projections = sum(entries[(k - 1) * s] for k, s in zip(index, strides))
-        if entries[p] != projections - (m - 1) * root:
-            return VerificationReport.fail("vertex-sums", witness=list(index))
-    seen = set()
-    for x in entries:
-        if not 0 <= x < size or x in seen:
-            return VerificationReport.fail("entry-set", witness=x)
-        seen.add(x)
-    return VerificationReport.ok()
+
+def count_descent_reads(monkeypatch, M: Cuboid) -> tuple[list, list]:
+    """Lists that ``cuboid._descent`` fills, once patched, with the pairs of
+    each range it is given and the length of each slice it takes of M."""
+    pairs, read = [], []
+
+    class Counted(tuple):
+        def __getitem__(self, key):
+            if isinstance(key, slice):
+                read.append(len(range(*key.indices(len(self)))))
+            return tuple.__getitem__(self, key)
+
+    entries = Counted(M.entries)
+
+    def counted(_, step, block, lo, hi):
+        pairs.append(hi - lo)
+        return descent(entries, step, block, lo, hi)
+
+    descent = cuboid_mod._descent
+    monkeypatch.setattr(cuboid_mod, "_descent", counted)
+    return pairs, read
 
 
 def jof_parts(steps, dims) -> list[list[int]]:
@@ -606,14 +583,6 @@ def jof_parts(steps, dims) -> list[list[int]]:
         parts[j - 1] = [x + l * scale for l in range(f) for x in parts[j - 1]]
         scale *= f
     return parts
-
-
-def outer_entries(parts) -> list[int]:
-    """Row-major elementwise sums of the parts, part 1 fastest."""
-    entries = [0]
-    for part in parts:
-        entries = [a + b for b in part for a in entries]
-    return entries
 
 
 def random_steps(rng, dims):
@@ -683,7 +652,7 @@ def _inner_fault(rng, dims, entries, stop) -> None:
 def _inner_step(dims, entries, p) -> int:
     """+1 or -1 if moving the entry at p, off every axis, by it leaves every
     line increasing (a vertex-sums fault alone), else 0."""
-    strides = [math.prod(dims[:j]) for j in range(len(dims))]
+    strides = strides_of(dims)
     index = [p // s % n for s, n in zip(strides, dims)]
     ups = [entries[p + s] for s, k, n in zip(strides, index, dims) if k < n - 1]
     downs = [entries[p - s] for s, k in zip(strides, index) if k > 0]
@@ -810,11 +779,13 @@ DOCUMENTED_ERRORS = (
 
 def _outcome(call, *args):
     """``call(*args)`` as the corpus records it: a report's JSON, a JOF's
-    text, a sum system's JSON document, or [exception type, message]."""
+    text, a sum system's JSON document, a string, or [exception type, message]."""
     try:
         result = call(*args)
     except DOCUMENTED_ERRORS as exc:
         return [type(exc).__name__, str(exc)]
+    if isinstance(result, str):
+        return result
     if isinstance(result, SumSystem):
         return sumsystem_mod.to_json_doc(result)
     return result.as_text() if hasattr(result, "as_text") else result.to_json_doc()
@@ -1199,6 +1170,102 @@ def sds_outcomes(flavour, parts) -> list:
     ]
 
 
+# Joint ordered factorisations: the "jof" slice.
+
+#: Mutations of a JOF's steps and dims, each aimed at one clause of
+#: ``validate_jof`` (step-shape, dims-range, direction-range, factor-range,
+#: adjacent-directions, direction-product).
+GOLDEN_JOF_KINDS = ["shape", "dims", "direction", "factor", "adjacent", "product", "drop", "empty"]
+#: Values at and beyond the int64 edges, below 2, bools, floats and others.
+GOLDEN_JOF_VALUES = [0, 1, -1, 2**63 - 1, 2**63, -(2**63), True, False, 2.0, 2.5, "2", None]
+#: Hand-made (steps, dims): the edges of each clause and of int64.
+GOLDEN_JOF_EDGES = [
+    ((), (2,)), (((1, 2),), ()), (((1, 2**63 - 1),), (2**63 - 1,)), (((1, 2**63),), (2**63,)),
+    (((1, 2), (2, 2**62)), (2, 2**62)), (((1, True),), (True,)), (((True, 2),), (2,)),
+    (((1, 2.0),), (2.0,)), (((1, 2), (1, 2)), (4,)), ([[1, 2]], [2]), (5, (2,)), (((1, 2),), 5),
+    (("12",), (2,)), (((1, 2), (2, 3, 4)), (2, 3)), ((2,), (2,)), (((1, 2),), (2, 1)),
+]
+#: Hand-made ``parse_jof`` inputs: malformed, out of range, int64 edges, not text.
+GOLDEN_JOF_TEXTS = [
+    "", "  ", "1:2", " 1:2 , 2:3 ", "1:2,", ",1:2", "1:2:3", "1", "a:b", "0:2", "-1:2", "1:-2",
+    "1:1", "1:0", "3:2,1:2", "2:2", "1:2,1:3", "1:2,2:3,1:3", "+1:2", "01:02", "1:2.0",
+    "1:9223372036854775807", "1:9223372036854775808", "1:2,2:9223372036854775807", "1:\uff12",
+    "1_0:2", 5, b"1:2", None, ["1:2"],
+]
+
+
+def _golden_jof_mutation(rng, kind, steps, dims) -> None:
+    """Apply one corpus mutation to ``steps`` and ``dims`` (lists) in place."""
+    pairs = [l for l, step in enumerate(steps) if isinstance(step, tuple) and len(step) == 2]
+    if kind == "empty":
+        del (steps if rng.random() < 0.5 else dims)[:]
+    elif kind == "dims" and dims:
+        dims[rng.randrange(len(dims))] = rng.choice(GOLDEN_JOF_VALUES)
+    elif kind == "product" and dims:
+        k = rng.randrange(len(dims))
+        dims[k] = dims[k] * rng.choice([2, 3]) if isinstance(dims[k], int) else 4
+    elif pairs:
+        l = rng.choice(pairs)
+        j, f = steps[l]
+        if kind == "shape":
+            steps[l] = rng.choice([(j,), (j, f, 1), j, None, "ab", [j, f]])
+        elif kind == "direction":
+            steps[l] = (rng.choice([0, len(dims) + 1, *GOLDEN_JOF_VALUES]), f)
+        elif kind == "factor":
+            steps[l] = (j, rng.choice(GOLDEN_JOF_VALUES))
+        elif kind == "adjacent" and l:
+            steps[l] = (steps[l - 1][0], f) if l - 1 in pairs else (j, f)
+        elif kind == "drop":
+            del steps[l]
+
+
+def _golden_jof_text(rng, steps) -> str:
+    """The steps in the text syntax, written independently of ``format_jof``
+    and sometimes padded or broken; a hand-made text where they are not pairs."""
+    try:
+        text = ",".join(f"{j}:{f}" for j, f in steps)
+    except (TypeError, ValueError):
+        return rng.choice(GOLDEN_JOF_TEXTS[:20])
+    how = rng.choice(["plain", "plain", "plain", "pad", "comma", "colon"])
+    if how == "pad":
+        return " " + text.replace(",", " , ") + " "
+    if how == "comma":
+        return text + ","
+    return text.replace(":", "=") if how == "colon" else text
+
+
+def golden_jofs(seed: int = GOLDEN_SEED):
+    """The JOF slice of the golden corpus: (label, steps, dims, text) quadruples.
+
+    500 JOFs from a fixed seed, of dims product at most 200, each valid or
+    with one or two mutations, and their text; then ``GOLDEN_JOF_EDGES``
+    with their text, and ``GOLDEN_JOF_TEXTS`` alone (steps None).
+    """
+    rng = random.Random(seed)
+    shapes = [dims for _, dims in dims_vectors_up_to(200) if len(dims) <= 4]
+    for k in range(500):
+        dims = list(rng.choice(shapes))
+        steps = list(random_steps(rng, dims))
+        kinds = [] if rng.random() < 0.2 else rng.choices(GOLDEN_JOF_KINDS, k=rng.randint(1, 2))
+        for kind in kinds:
+            _golden_jof_mutation(rng, kind, steps, dims)
+        yield f"{k} {','.join(kinds) or 'valid'}", steps, dims, _golden_jof_text(rng, steps)
+    for k, (steps, dims) in enumerate(GOLDEN_JOF_EDGES):
+        yield f"edge {k} {steps!r} {dims!r}"[:80], steps, dims, _golden_jof_text(rng, steps)
+    for k, text in enumerate(GOLDEN_JOF_TEXTS):
+        yield f"text {k} {text!r}", None, None, text
+
+
+def jof_outcomes(steps, dims, text) -> list:
+    """``validate_jof`` of the steps and dims and ``format_jof`` of the steps
+    (unless steps is None), then ``parse_jof`` of the text, each an ``_outcome``."""
+    if steps is None:
+        return [_outcome(parse_jof, text)]
+    return [
+        _outcome(validate_jof, steps, dims), _outcome(format_jof, steps), _outcome(parse_jof, text),
+    ]
+
+
 #: The slices of the golden corpus: name -> (inputs, outcomes, least case
 #: count).  Each input is a label, then the arguments of its outcomes.
 GOLDEN_SLICES = {
@@ -1206,4 +1273,5 @@ GOLDEN_SLICES = {
     "square": (golden_squares, square_outcomes, 1500),
     "sumsystem": (golden_sum_systems, sum_system_outcomes, 800),
     "sds": (golden_sds, sds_outcomes, 800),
+    "jof": (golden_jofs, jof_outcomes, 500),
 }

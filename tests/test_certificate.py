@@ -60,7 +60,14 @@ from addsys.sumsystem import (
     verify_sum_system,
 )
 from conftest import DIMS_E4, E4_PARTS, JOF_E4
-from support import cuboid_scan_reference, divisors_ge2, vertex_reference, walk_reference
+from support import (
+    count_descent_reads,
+    cuboid_scan_reference,
+    divisors_ge2,
+    strides_of,
+    vertex_reference,
+    walk_reference,
+)
 
 #: Dims whose product is at least the cuboid ratio times their sum.
 ABOVE_RATIO = [(2,) * 11, (3,) * 7, (4,) * 6, (8, 8, 8, 8)]
@@ -363,8 +370,8 @@ def dirty_block_cuboids(draw):
     jof = draw(large_ratio_jofs(dims, first=-1 if kind == "boundary" else None))
     M = build_cuboid(jof)
     dims, entries = M.dims, list(M.entries)
-    width, m = M.size // dims[-1], len(dims)
-    strides = [math.prod(dims[:j]) for j in range(m)]
+    width = M.size // dims[-1]
+    strides = strides_of(dims)
 
     def off_axis(p):
         return sum(p // s % n > 0 for s, n in zip(strides, dims)) >= 2
@@ -442,31 +449,9 @@ def block_faulted_cuboids(draw):
     return Cuboid(M.dims, tuple(entries))
 
 
-def count_descent_reads(monkeypatch, M: Cuboid) -> tuple[list, list]:
-    """Lists that ``cuboid._descent`` fills, once patched, with the pairs of
-    each range it is given and the length of each slice it takes of M."""
-    pairs, read = [], []
-
-    class Counted(tuple):
-        def __getitem__(self, key):
-            if isinstance(key, slice):
-                read.append(len(range(*key.indices(len(self)))))
-            return tuple.__getitem__(self, key)
-
-    entries = Counted(M.entries)
-
-    def counted(_, step, block, lo, hi):
-        pairs.append(hi - lo)
-        return descent(entries, step, block, lo, hi)
-
-    descent = addsys.cuboid._descent
-    monkeypatch.setattr(addsys.cuboid, "_descent", counted)
-    return pairs, read
-
-
 def closed_form(dims, entries) -> list:
     """Every entry's sum of axis projections less (m - 1) times the root."""
-    strides = [math.prod(dims[:j]) for j in range(len(dims))]
+    strides = strides_of(dims)
     root = entries[0]
     return [
         sum(entries[p // s % n * s] for s, n in zip(strides, dims)) - (len(dims) - 1) * root
@@ -578,7 +563,7 @@ class TestCuboid:
         # one +-1 fault in each window of 12,000 entries, off every axis and
         # leaving every line increasing: 303 one-entry spans in all 12 blocks,
         # read as their own pairs, not as the whole tensor in each direction
-        strides = [math.prod(DIMS_E4[:j]) for j in range(len(DIMS_E4))]
+        strides = strides_of(DIMS_E4)
         entries = list(e4_cuboid.entries)
         faults = []
         for q in range(0, e4_cuboid.size, 12_000):

@@ -27,7 +27,6 @@ from addsys.cuboid import (
     building_op,
     cuboid_from_sumsystem,
     decompose_cuboid,
-    flat_index,
     from_json_doc,
     kron_dir,
     multi_index,
@@ -46,11 +45,14 @@ from conftest import (
 from support import (
     DOCUMENTED_ERRORS,
     GOLDEN_RATIO_DIMS,
+    count_descent_reads,
     cuboid_scan_reference,
     dims_vectors_up_to,
+    flat_position,
     jof_parts,
     outer_entries,
     random_steps,
+    strides_of,
     vertex_reference,
 )
 
@@ -69,7 +71,7 @@ def brute_force_lines(M: Cuboid):
             for l in range(1, dims[j - 1] + 1):
                 idx = list(fixed)
                 idx.insert(j - 1, l)
-                line.append(M.entries[flat_index(dims, idx)])
+                line.append(M.entries[flat_position(dims, idx)])
             yield line
 
 
@@ -128,7 +130,7 @@ class TestIndexing:
     def test_round_trip(self):
         dims = (3, 4, 2)
         for flat in range(24):
-            assert flat_index(dims, multi_index(dims, flat)) == flat
+            assert flat_position(dims, multi_index(dims, flat)) == flat
 
     @pytest.mark.parametrize("flat", [4, 7, -1, 1.5])
     def test_multi_index_gated_and_range_checked(self, flat):
@@ -136,14 +138,8 @@ class TestIndexing:
             multi_index((2, 2), flat)
 
     def test_direction_one_fastest(self):
-        assert flat_index((3, 4), (2, 1)) == 1
-        assert flat_index((3, 4), (1, 2)) == 3
-
-    def test_bounds_checked(self):
-        with pytest.raises(InputError):
-            flat_index((2, 2), (3, 1))
-        with pytest.raises(InputError):
-            flat_index((2, 2), (1,))
+        assert multi_index((3, 4), 1) == (2, 1)
+        assert multi_index((3, 4), 3) == (1, 2)
 
 
 class TestKron:
@@ -349,27 +345,32 @@ class TestPropertyV:
     def test_square_views_match_the_per_entry_oracle(self, M):
         assert _vertex_mismatch(M) == vertex_reference(M.dims, M.entries)
 
-    def test_unit_first_dim_adds_no_scan_pass(self):
+    def test_unit_first_dim_adds_no_scan_pass(self, monkeypatch):
         # E4 with root 1 takes the ordered scan, which fails at the first
         # pair of the first direction that has pairs.  A leading unit dim
         # has none: skipped, it costs nothing (1.08-2.7 s when it was
-        # scanned a block at a time; 0.02-0.04 s without it; 2-vCPU Xeon).
+        # scanned a block at a time; 0.02-0.04 s without it; 2-vCPU Xeon),
+        # and ``_descent`` takes one pair of slices, where a scanned unit
+        # dim took two empty ones per entry.
         entries = outer_entries(E4_PARTS)
         entries[0] = 1
         for dims, j in (((1, *DIMS_E4), 2), (DIMS_E4, 1)):
             M = Cuboid(dims, tuple(entries))
-            start = time.perf_counter()
-            report = verify_reversible(M)
-            elapsed = time.perf_counter() - start
+            with monkeypatch.context() as patch:
+                _, read = count_descent_reads(patch, M)
+                start = time.perf_counter()
+                report = verify_reversible(M)
+                elapsed = time.perf_counter() - start
             index = [1] * len(dims)
             assert report == VerificationReport.fail(
                 "monotonicity", witness={"direction": j, "index": index}
             )
+            assert len(read) <= 4, f"{dims}: {len(read)} slices"
             assert elapsed < 0.5, f"{dims}: {elapsed:.2f} s"
 
     def test_e4_interior_fault_named_by_both_routes(self):
         M = build_cuboid(jof(JOF_E4, DIMS_E4))
-        steps = [math.prod(DIMS_E4[:j]) for j in range(len(DIMS_E4))]
+        steps = strides_of(DIMS_E4)
 
         def interior_and_still_increasing(p):
             # off every axis and face, and +1 ties no later neighbour
@@ -575,7 +576,7 @@ class TestSerialisation:
         slices = []
         for k3, k4 in itertools.product(range(1, 3), range(1, 3)):
             rows = [
-                ",".join(str(M.entries[flat_index(dims, (k1, k2, k3, k4))]) for k1 in (1, 2))
+                ",".join(str(M.entries[flat_position(dims, (k1, k2, k3, k4))]) for k1 in (1, 2))
                 for k2 in (1, 2, 3)
             ]
             slices.append("\n".join(rows))

@@ -5,8 +5,9 @@
 slices in ``support.GOLDEN_SLICES``: the report, JOF or exception of every
 cuboid verifier and decomposer, certificate route and ordered scan alike;
 of ``verify_square`` under every kind; of the sum-system verifier,
-decomposer and polynomial check, with the route that answered; and of the
-SDS verifiers and maps, with the route that answered.
+decomposer and polynomial check, with the route that answered; of the
+SDS verifiers and maps, with the route that answered; and of
+``validate_jof``, ``format_jof`` and ``parse_jof``.
 """
 
 import gzip

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from addsys.cli import main
 from addsys.core import (
+    CapExceededError,
     InputError,
     Int64OverflowError,
     InternalContradictionError,
@@ -26,16 +27,15 @@ from addsys.core import (
     ensure_int64,
     is_progression,
     minkowski_sum,
+    progression_set,
 )
 from addsys.cuboid import (
     Cuboid,
     build_cuboid,
     building_op,
     decompose_cuboid,
-    flat_index,
     from_json_doc,
     kron_dir,
-    strides,
     trivial_cuboid,
     verify_property_V,
     verify_reversible,
@@ -124,10 +124,6 @@ HOSTILE = {
     "count_jofs float dims": (lambda: count_jofs((2.0, 3)), InputError, "dims"),
     "minkowski_sum float": (lambda: minkowski_sum([[0.5, 1]]), InputError, "integers"),
     "Progression float start": (lambda: Progression(0.5, 1, 2), InputError, "start"),
-    "flat_index float index": (lambda: flat_index((2, 2), (1.5, 1)), InputError, "index"),
-    "strides float dims": (lambda: strides((2.0, 3)), InputError, "dims .*got 2.0$"),
-    "strides negative dims": (lambda: strides((-1, 3)), InputError, "dims .*got -1$"),
-    "strides zero dims": (lambda: strides((2, 0)), InputError, "dims .*got 0$"),
     "base_q_system float q": (lambda: base_q_system(2.0, 2), InputError, "integers"),
     "SumSystem huge element": (lambda: SumSystem(((0, HUGE),)), Int64OverflowError, f"{SHOWN}$"),
     "SumSystem huge negative": (
@@ -135,7 +131,6 @@ HOSTILE = {
     ),
     "Progression huge start": (lambda: Progression(HUGE, 1, 1), Int64OverflowError, f"{SHOWN}$"),
     "count_jofs huge dims": (lambda: count_jofs([HUGE]), InputError, f"{SHOWN}$"),
-    "strides huge dims": (lambda: strides((HUGE,)), Int64OverflowError, f"{SHOWN}$"),
     "from_plain huge entry": (
         lambda: SquareMatrix.from_plain([[HUGE]]), Int64OverflowError, f"{SHOWN}$",
     ),
@@ -233,7 +228,6 @@ HOSTILE = {
         lambda: is_progression(5, Progression(0, 1, 1)), InputError,
         "^multiset must be iterable, got 5$",
     ),
-    "strides returned": (lambda: strides((2, 3)), None, (1, 2)),
     "building_op bad direction": (
         lambda: building_op(2, 2, trivial_cuboid(1)), InputError, r"^direction 2 outside 1\.\.1$",
     ),
@@ -284,6 +278,22 @@ HOSTILE = {
         "^'entries' must be a flat list of integers$",
     ),
     "jof length": (lambda: len(JointOrderedFactorisation(((1, 2), (2, 3)), (2, 3))), None, 2),
+    "trivial_cuboid huge order": (
+        lambda: trivial_cuboid(2**40), CapExceededError,
+        "^too many cuboid directions: 1099511627776, cap is 100000000$",
+    ),
+    "building_op huge copy count": (
+        lambda: building_op(1, 10**9, trivial_cuboid(1)), CapExceededError,
+        "^too many cuboid entries: 1000000000, cap is 100000000$",
+    ),
+    "kron_dir huge result": (
+        lambda: kron_dir(range(10**5), 1, Cuboid((10**4,), tuple(range(10**4)))),
+        CapExceededError, "^too many cuboid entries: 1000000000, cap is 100000000$",
+    ),
+    "progression_set huge count": (
+        lambda: progression_set(Progression(0, 1, 10**10)), CapExceededError,
+        "^too many progression elements: 10000000000, cap is 100000000$",
+    ),
 }
 
 
