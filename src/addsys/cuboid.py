@@ -91,7 +91,8 @@ def _strides(dims: Sequence[int]) -> tuple[int, ...]:
 
 def multi_index(dims: Sequence[int], flat: int) -> tuple[int, ...]:
     """1-based multiindex of a flat position."""
-    _require_ints((*dims, flat), "dims and flat position must hold integers")
+    _require_ints(dims, "dims must be positive integers", lo=1)
+    _require_ints((flat,), "flat position must be an integer")
     if not 0 <= flat < prod(dims):
         raise InputError(f"flat position {flat} outside 0..{prod(dims) - 1}")
     out = []

@@ -141,6 +141,14 @@ class TestIndexing:
         assert multi_index((3, 4), 1) == (2, 1)
         assert multi_index((3, 4), 3) == (1, 2)
 
+    def test_bounds_checked(self):
+        assert multi_index((2, 2), 3) == (2, 2)
+        with pytest.raises(InputError):
+            multi_index((2, 2), 4)
+        # dims whose product is positive are still refused one by one
+        with pytest.raises(InputError):
+            multi_index((-1, -3), 1)
+
 
 class TestKron:
     def test_tiling(self):

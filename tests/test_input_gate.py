@@ -36,6 +36,7 @@ from addsys.cuboid import (
     decompose_cuboid,
     from_json_doc,
     kron_dir,
+    multi_index,
     trivial_cuboid,
     verify_property_V,
     verify_reversible,
@@ -124,6 +125,10 @@ HOSTILE = {
     "count_jofs float dims": (lambda: count_jofs((2.0, 3)), InputError, "dims"),
     "minkowski_sum float": (lambda: minkowski_sum([[0.5, 1]]), InputError, "integers"),
     "Progression float start": (lambda: Progression(0.5, 1, 2), InputError, "start"),
+    "multi_index float position": (lambda: multi_index((2, 2), 1.5), InputError, "position"),
+    "multi_index float dims": (lambda: multi_index((2.0, 3), 0), InputError, "dims .*got 2.0$"),
+    "multi_index negative dims": (lambda: multi_index((-1, -3), 1), InputError, "dims .*got -1$"),
+    "multi_index zero dims": (lambda: multi_index((2, 0), 0), InputError, "dims .*got 0$"),
     "base_q_system float q": (lambda: base_q_system(2.0, 2), InputError, "integers"),
     "SumSystem huge element": (lambda: SumSystem(((0, HUGE),)), Int64OverflowError, f"{SHOWN}$"),
     "SumSystem huge negative": (
@@ -131,6 +136,7 @@ HOSTILE = {
     ),
     "Progression huge start": (lambda: Progression(HUGE, 1, 1), Int64OverflowError, f"{SHOWN}$"),
     "count_jofs huge dims": (lambda: count_jofs([HUGE]), InputError, f"{SHOWN}$"),
+    "multi_index huge dims": (lambda: multi_index((HUGE,), 0), Int64OverflowError, f"{SHOWN}$"),
     "from_plain huge entry": (
         lambda: SquareMatrix.from_plain([[HUGE]]), Int64OverflowError, f"{SHOWN}$",
     ),
@@ -228,6 +234,7 @@ HOSTILE = {
         lambda: is_progression(5, Progression(0, 1, 1)), InputError,
         "^multiset must be iterable, got 5$",
     ),
+    "multi_index returned": (lambda: multi_index((2, 3), 5), None, (2, 3)),
     "building_op bad direction": (
         lambda: building_op(2, 2, trivial_cuboid(1)), InputError, r"^direction 2 outside 1\.\.1$",
     ),
