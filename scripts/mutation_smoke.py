@@ -190,6 +190,13 @@ MUTANTS = [
         "range(expected + 1, top)",
         ("tests/test_golden.py", "tests/test_sumsystem.py", "tests/test_certificate.py"),
     ),
+    (
+        "jof-text-lax-int",
+        "factorisation.py",
+        "int(_DECIMAL.fullmatch(t)[0])",
+        "int(t)",
+        ("tests/test_input_gate.py", "tests/test_golden.py"),
+    ),
 ]
 
 

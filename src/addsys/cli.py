@@ -35,7 +35,7 @@ from .core import (
     _require_cap,
 )
 from .factorisation import (
-    JointOrderedFactorisation, _require_enumerable, count_jofs, enumerate_jofs, parse_jof
+    JointOrderedFactorisation, _DECIMAL, _require_enumerable, count_jofs, enumerate_jofs, parse_jof
 )
 
 EXIT_OK = 0
@@ -63,8 +63,8 @@ def _load_json(path: str) -> Any:
 
 def _parse_dims(text: str) -> tuple[int, ...]:
     try:
-        dims = tuple(int(piece) for piece in text.split(","))
-    except ValueError:
+        dims = tuple(int(_DECIMAL.fullmatch(piece)[0]) for piece in text.split(","))
+    except (TypeError, ValueError):  # not a decimal, or past int()'s digit limit
         raise InputError(f"malformed dims {text!r}, expected comma-separated integers") from None
     return _require_enumerable(dims)
 
@@ -127,7 +127,7 @@ def _sumsys_decompose(args: argparse.Namespace) -> dict:
 
 def _sds_from_sumsys(args: argparse.Namespace) -> dict:
     ss = sumsys_mod.from_json_doc(_load_json(args.source))
-    inclusive = (args.flavour or sds_mod.infer_flavour(ss)) == sds_mod.INCLUSIVE
+    inclusive = sds_mod.infer_flavour(ss) == sds_mod.INCLUSIVE
     to_sds = sds_mod.sumsys_to_sds_inclusive if inclusive else sds_mod.sumsys_to_sds_noninclusive
     return sds_mod.to_json_doc(to_sds(ss, cap=args.max_product))
 
@@ -201,11 +201,7 @@ _COMMANDS = {
         "decompose": (_sumsys_decompose, [("source", dict(help="JSON file or - for stdin"))]),
     }),
     "sds": ("sum-and-distance systems", {
-        "from-sumsys": (_sds_from_sumsys, [
-            ("source", dict(help="sum-system JSON file or -")),
-            ("--flavour", dict(choices=list(sds_mod.FLAVOURS), default=None,
-                               help="override the parity-inferred flavour")),
-        ]),
+        "from-sumsys": (_sds_from_sumsys, [("source", dict(help="sum-system JSON file or -"))]),
         "to-sumsys": (_sds_to_sumsys, [("source", dict(help="sum-and-distance JSON file or -"))]),
         "verify": (_sds_verify, [("source", dict(help="sum-and-distance JSON file or -"))]),
     }),

@@ -11,6 +11,7 @@ backbone of the package.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,6 +25,9 @@ from .core import (
 )
 
 Step = tuple[int, int]
+#: A direction or factor of the text syntax, and a size of the CLI's --dims:
+#: ASCII digits after an optional "-".  int() alone also reads "+1", "1_0" and " 1".
+_DECIMAL = re.compile("-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -326,9 +330,8 @@ def parse_jof(text: str) -> JointOrderedFactorisation:
     for piece in pieces:
         part = piece.strip()
         try:
-            j_text, f_text = part.split(":")
-            j, f = int(j_text), int(f_text)
-        except ValueError:
+            j, f = (int(_DECIMAL.fullmatch(t)[0]) for t in part.split(":"))
+        except (TypeError, ValueError):  # not two decimals, or past int()'s digit limit
             raise InputError(f"malformed step {part!r}, expected direction:factor") from None
         steps.append((j, f))
     if min(j for j, _ in steps) < 1:

@@ -174,14 +174,6 @@ class TestSds:
         assert code == 2
         assert "mixed" in err
 
-    def test_flavour_override(self, capsys):
-        payload = json.dumps({"dims": [2, 2], "parts": [[0, 1], [0, 2]]})
-        code, _, err = run_cli(
-            capsys, "sds", "from-sumsys", "--flavour", "inclusive", "-", stdin=payload
-        )
-        assert code == 2  # even parts cannot take the inclusive route
-        assert "cardinality" in err
-
 
 class TestCuboid:
     def test_build_verify_decompose_chain(self, capsys):
@@ -340,7 +332,8 @@ class TestContract:
 
     def test_help_of_every_parser_level_is_unchanged(self, capsys, monkeypatch):
         # cli_help.json holds the --help text of each level at 80 columns,
-        # captured from the CLI before its commands moved into one table.
+        # captured from the CLI before its commands moved into one table
+        # (the `sds from-sumsys` entry since its --flavour option went).
         monkeypatch.setenv("COLUMNS", "80")
         assert set(HELP_TEXT) == {"", *_COMMANDS, *map(" ".join, TABLE_COMMANDS)}
         for level, text in HELP_TEXT.items():

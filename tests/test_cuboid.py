@@ -425,6 +425,11 @@ class TestVerifyReversible:
     def test_entry_set_failure(self):
         report = verify_reversible(Cuboid((2, 2), (5, 6, 7, 8)))
         assert report.violated_invariant == "entry-set"
+        # With every dim 1 the stage walk completes on the axes at once, so a
+        # nonzero root must keep a cuboid off the certificate route at any size.
+        for M in (Cuboid((1,), (5,)), Cuboid((1, 1), (5,)), Cuboid((1, 1, 1), (-3,))):
+            report = VerificationReport.fail("entry-set", witness=M.entries[0])
+            assert verify_reversible(M) == report
 
     def test_vertex_failure(self):
         report = verify_reversible(Cuboid((2, 2), (0, 1, 2, 4)))

@@ -206,6 +206,13 @@ HOSTILE = {
     "format_jof bare step": (lambda: format_jof([1]), InputError, rf"^{PAIRS}, got \[1\]$"),
     "parse_jof int": (lambda: parse_jof(5), InputError, f"^{JOF_TEXT}, got 5$"),
     "parse_jof bytes": (lambda: parse_jof(b"1:2"), InputError, f"^{JOF_TEXT}, got b'1:2'$"),
+    # int() would read these as 1:2, 1:2 and 10:2.
+    "parse_jof plus sign": (lambda: parse_jof("+1:2"), InputError, r"^malformed step '\+1:2',"),
+    "parse_jof full-width digit": (
+        lambda: parse_jof("1:\uff12"), InputError, "^malformed step '1:\uff12',",
+    ),
+    "parse_jof underscore": (lambda: parse_jof("1_0:2"), InputError, "^malformed step '1_0:2',"),
+    "cli plus-signed dims": (lambda: _cli("", "jof", "enumerate", "--dims", "+4,2"), None, 2),
     "cli sumsys float dims": (
         lambda: _cli('{"dims":[2.0,2.0],"parts":[[0,1],[0,2]]}', "sumsys", "verify", "-"),
         None, 2,
